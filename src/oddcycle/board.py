@@ -110,6 +110,9 @@ class ParityForest:
 
     def find(self, v: int) -> tuple[int, int]:
         """Return (root, parity of v relative to the root), compressing paths."""
+        up = self.parent[v]
+        if self.parent[up] == up:
+            return up, self.parity[v]
         path = []
         while self.parent[v] != v:
             path.append(v)
@@ -169,6 +172,10 @@ class GameConfig:
     def __post_init__(self):
         object.__setattr__(self, "variant", Variant(self.variant))
         object.__setattr__(self, "rules", Rules(self.rules))
+        for name in ("n", "b"):
+            value = getattr(self, name)
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 3:
             raise ValueError("need n >= 3 for an odd cycle to exist")
         if self.variant is Variant.MAKER_BREAKER and self.b < 1:
@@ -221,8 +228,8 @@ class GameState:
         self.builder_cyclic = False
         # blocker degree of each vertex into V1 / V2 / R
         self.deg_blk = [[0, 0, 0] for _ in range(n)]
-        self.blocker_adj: list[list[int]] = [[] for _ in range(n)]
-        self.builder_adj: list[list[int]] = [[] for _ in range(n)]
+        # number of builder edges at each vertex
+        self.builder_deg = [0] * n
         # unclaimed edges with both endpoints in the same part
         self.threat_edges: set[int] = set()
         # cross pairs (V1 x V2) not claimed by the blocker, builder edges included
@@ -239,17 +246,8 @@ class GameState:
 
     # -- basic queries ---------------------------------------------------
 
-    def edge_id(self, u: int, v: int) -> int:
-        return self.eindex[u][v]
-
     def endpoints(self, eid: int) -> tuple[int, int]:
         return self.pairs[eid]
-
-    def ownership(self, eid: int) -> int:
-        return self.own[eid]
-
-    def ownership_counts(self) -> tuple[int, int, int]:
-        return (self.unclaimed_count, self.builder_edge_count, self.blocker_edge_count)
 
     def builder_vertices(self) -> set[int]:
         return self.parts[0] | self.parts[1]
@@ -259,16 +257,15 @@ class GameState:
         p = self.part[v]
         return p - 1 if p else 2
 
-    def part_degrees(self, v: int) -> tuple[int, int, int]:
-        """Blocker degrees of v into V1, V2 and R (v itself never counted)."""
-        return tuple(self.deg_blk[v])
-
     def closes_odd_cycle(self, eid: int) -> bool:
         """Would claiming eid give the builder an odd cycle? Edge must be unclaimed."""
         if self.own[eid] != UNCLAIMED:
             raise StateError(f"edge {eid} is already claimed")
         u, v = self.pairs[eid]
-        return self.pf.same_side(u, v)
+        # every builder edge joins the two parts, so part labels agree with
+        # parity inside each component
+        p = self.part[u]
+        return p != 0 and p == self.part[v] and self.pf.find(u)[0] == self.pf.find(v)[0]
 
     def legal_builder_moves(self) -> set[int]:
         """Edge ids the builder may claim now under the configured rules."""
@@ -281,20 +278,9 @@ class GameState:
             return bool(self.legal_incident)
         return self.unclaimed_count > 0
 
-    def builder_move_legal(self, eid: int) -> bool:
-        if self.own[eid] != UNCLAIMED:
-            return False
-        if self.config.rules is Rules.CONNECTED and self.builder_edge_count > 0:
-            return eid in self.legal_incident
-        return True
-
     def saved_unclaimed(self) -> int:
         """Unclaimed edges between V1 and V2 (the budget in the saving bound)."""
         return self.saved_not_blocker - self.builder_cross_count
-
-    def unclaimed_between(self, v: int, part_idx: int) -> int:
-        """Unclaimed edges between vertex v in R and the given part (0 or 1)."""
-        return len(self.parts[part_idx]) - self.deg_blk[v][part_idx]
 
     def degree_spread(self, part_idx: int) -> int:
         """max - min of blocker degree into a part over all of R (0 if R empty)."""
@@ -386,29 +372,30 @@ class GameState:
         for i in (0, 1):
             self._index_drop(y, i)
         self.part[y] = p
-        # blocker edges at y change classification: R->R becomes V->R seen from
-        # the neighbour, R->V becomes V->V.
+        # every unclaimed edge at y is now incident to the builder's graph, and
+        # blocker edges at y change classification: R->R becomes V->R seen
+        # from the neighbour, R->V becomes V->V
         dy = self.deg_blk[y]
-        for w in self.blocker_adj[y]:
-            cw = self.col(w)
-            dw = self.deg_blk[w]
-            dw[2] -= 1
-            dw[pi] += 1
-            if cw == 2:
-                if w in self.r_set:
-                    self._index_bump(w, pi, dw[pi] - 1)
-                self.e_blk_vr[pi] += 1
-            else:
-                self.e_blk_vr[cw] -= 1
-                self.e_blk_vv += 1
-        # every unclaimed edge at y is now incident to the builder's graph
         row = self.eindex[y]
         own = self.own
-        for u in range(self.n):
-            if u != y:
-                e = row[u]
-                if own[e] == UNCLAIMED:
-                    self.legal_incident.add(e)
+        for w in range(self.n):
+            if w == y:
+                continue
+            o = own[row[w]]
+            if o == UNCLAIMED:
+                self.legal_incident.add(row[w])
+            elif o == BLOCKER:
+                cw = self.col(w)
+                dw = self.deg_blk[w]
+                dw[2] -= 1
+                dw[pi] += 1
+                if cw == 2:
+                    if w in self.r_set:
+                        self._index_bump(w, pi, dw[pi] - 1)
+                    self.e_blk_vr[pi] += 1
+                else:
+                    self.e_blk_vr[cw] -= 1
+                    self.e_blk_vv += 1
         # new same-part pairs may be live threats
         for w in self.parts[pi]:
             e = row[w]
@@ -427,31 +414,34 @@ class GameState:
             self.parts[2 - p].add(w)
         self._rebuild_part_counters()
 
-    def apply_claim(self, role: Role, eid: int):
-        """Claim an unclaimed edge for a side, updating every derived structure.
-
-        Raises RuleViolation for claimed edges, finished games, or builder
-        moves that break the connectedness rule.
-        """
+    def check_claim(self, role: Role, eid: int):
+        """Raise StateError when the game is over, and RuleViolation for a
+        claimed or out-of-range edge or a builder move that breaks the
+        connectedness rule."""
         if self.status is not Status.IN_PROGRESS:
             raise StateError("game is over")
         if not (0 <= eid < self.E):
             raise RuleViolation(f"edge id {eid} out of range")
         if self.own[eid] != UNCLAIMED:
             raise RuleViolation(f"edge {eid} is already claimed")
+        if (role is Role.BUILDER and self.config.rules is Rules.CONNECTED
+                and self.builder_edge_count > 0 and eid not in self.legal_incident):
+            raise RuleViolation(
+                f"connected rules: edge {eid} not incident to the builder's graph")
+
+    def apply_claim(self, role: Role, eid: int):
+        """Claim an edge for a side, after check_claim, updating every derived
+        structure."""
+        self.check_claim(role, eid)
         u, v = self.pairs[eid]
         if role is Role.BUILDER:
-            if (self.config.rules is Rules.CONNECTED and self.builder_edge_count > 0
-                    and eid not in self.legal_incident):
-                raise RuleViolation(
-                    f"connected rules: edge {eid} not incident to the builder's graph")
             self.own[eid] = BUILDER
             self.unclaimed_count -= 1
             self.builder_edge_count += 1
             self.threat_edges.discard(eid)
             self.legal_incident.discard(eid)
-            self.builder_adj[u].append(v)
-            self.builder_adj[v].append(u)
+            self.builder_deg[u] += 1
+            self.builder_deg[v] += 1
             pu, pv = self.part[u], self.part[v]
             if pu == 0 and pv == 0:
                 self.pf.union(u, v)
@@ -493,8 +483,6 @@ class GameState:
             self.blocker_edge_count += 1
             self.threat_edges.discard(eid)
             self.legal_incident.discard(eid)
-            self.blocker_adj[u].append(v)
-            self.blocker_adj[v].append(u)
             cu, cv = self.col(u), self.col(v)
             self.deg_blk[u][cv] += 1
             self.deg_blk[v][cu] += 1
@@ -539,8 +527,7 @@ class GameState:
         other.builder_cross_count = self.builder_cross_count
         other.builder_cyclic = self.builder_cyclic
         other.deg_blk = [row[:] for row in self.deg_blk]
-        other.blocker_adj = [row[:] for row in self.blocker_adj]
-        other.builder_adj = [row[:] for row in self.builder_adj]
+        other.builder_deg = self.builder_deg[:]
         other.threat_edges = set(self.threat_edges)
         other.saved_not_blocker = self.saved_not_blocker
         other.e_blk_vr = self.e_blk_vr[:]
@@ -555,16 +542,3 @@ class GameState:
 
 def closes_odd_cycle(state: GameState, eid: int) -> bool:
     return state.closes_odd_cycle(eid)
-
-
-def legal_builder_moves(state: GameState) -> set[int]:
-    return state.legal_builder_moves()
-
-
-def apply_claim(state: GameState, role: Role, eid: int) -> GameState:
-    state.apply_claim(role, eid)
-    return state
-
-
-def part_degrees(state: GameState, v: int) -> tuple[int, int, int]:
-    return state.part_degrees(v)

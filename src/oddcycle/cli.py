@@ -88,6 +88,8 @@ class RunConfig:
     capacity: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.n, int):
+            raise UsageError(f"n must be an integer, got {self.n!r}")
         self.variant = Variant(self.variant)
         self.rules = Rules(self.rules)
         if not self.builders:
@@ -195,21 +197,23 @@ class _StateTracker(GameHook):
         super().__init__()
         self.s = 0
         self.k = 0
-        self.owners = ""
+        self.state = None
 
     def after_claim(self, state, move):
         self.s = move.s
         self.k = move.k
-        self.owners = bytes(state.own).hex()
+        self.state = state
 
     def after_round(self, state, s):
         self.s = s
         self.k = 0
-        self.owners = bytes(state.own).hex()
+        self.state = state
 
     def describe(self) -> str:
-        return json.dumps({"s": self.s, "k": self.k, "owners": self.owners},
-                          sort_keys=True)
+        # the tracker runs first among the hooks, so a breach raised by a later
+        # hook leaves the board as the tracker last saw it
+        owners = "" if self.state is None else bytes(self.state.own).hex()
+        return json.dumps({"s": self.s, "k": self.k, "owners": owners}, sort_keys=True)
 
 
 # -- game execution ---------------------------------------------------------------
@@ -563,7 +567,8 @@ def cmd_replay(args) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (json.JSONDecodeError, KeyError, ValueError, CorruptionError) as exc:
+    except (json.JSONDecodeError, KeyError, TypeError, AttributeError, ValueError,
+            CorruptionError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     recorder = MetricsRecorder()

@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .board import (
-    UNCLAIMED,
     GameConfig,
     GameState,
     Reason,
@@ -124,6 +123,8 @@ class Transcript:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "Transcript":
+        if not isinstance(d, dict):
+            raise CorruptionError(f"a transcript is a JSON object, not {type(d).__name__}")
         if d.get("version") != "1":
             raise CorruptionError(f"unsupported transcript version: {d.get('version')!r}")
         res = d["result"]
@@ -227,9 +228,7 @@ class MetricsRecorder(GameHook):
 
 def offerable_edges(state: GameState) -> set[int]:
     """Edges the waiter is allowed to include in an offer right now."""
-    if state.config.rules is Rules.CONNECTED and state.builder_edge_count > 0:
-        return set(state.legal_incident)
-    return {e for e in range(state.E) if state.own[e] == UNCLAIMED}
+    return state.legal_builder_moves()
 
 
 def validate_offer(state: GameState, edges) -> tuple[int, ...]:
@@ -241,24 +240,14 @@ def validate_offer(state: GameState, edges) -> tuple[int, ...]:
     if len(set(offer)) != len(offer):
         raise RuleViolation("offer contains a repeated edge")
     for e in offer:
-        if not (0 <= e < state.E):
-            raise RuleViolation(f"edge id {e} out of range")
-        if state.own[e] != UNCLAIMED:
-            raise RuleViolation(f"offered edge {e} is already claimed")
-    if state.config.rules is Rules.CONNECTED:
-        if state.builder_edge_count == 0:
-            # first offer: all edges around one vertex
-            common = set(state.endpoints(offer[0]))
-            for e in offer[1:]:
-                common &= set(state.endpoints(e))
-            if not common:
-                raise RuleViolation("first offer must share a single vertex")
-        else:
-            allowed = state.legal_incident
-            for e in offer:
-                if e not in allowed:
-                    raise RuleViolation(
-                        f"offered edge {e} does not touch the builder's graph")
+        state.check_claim(Role.BUILDER, e)
+    if state.config.rules is Rules.CONNECTED and state.builder_edge_count == 0:
+        # first offer: all edges around one vertex
+        common = set(state.endpoints(offer[0]))
+        for e in offer[1:]:
+            common &= set(state.endpoints(e))
+        if not common:
+            raise RuleViolation("first offer must share a single vertex")
     return offer
 
 

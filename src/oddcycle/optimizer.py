@@ -456,55 +456,55 @@ def breaker_constant_audit(eps, n: int | None = None) -> AuditReport:
     are flagged rather than silently used: a product of two negative factors
     is numerically positive but carries no meaning as a progress bound.
     """
-    mp.mp.dps = max(mp.mp.dps, 30)
-    e = Fraction(eps)
-    ef = float(e)
-    ee = mp.mpf(e.numerator) / e.denominator
-    rt = mp.sqrt(ee)
-    rows = []
+    with mp.workdps(max(mp.mp.dps, 30)):
+        e = Fraction(eps)
+        ef = float(e)
+        ee = mp.mpf(e.numerator) / e.denominator
+        rt = mp.sqrt(ee)
+        rows = []
 
-    beta = (1 - e) / 2
-    rows.append(AuditRow("bias-fraction", float(beta), 0.5, "<=",
-                         beta <= Fraction(1, 2)))
-    if n is not None:
-        rows.append(AuditRow("saved-budget", saved_budget(e, n),
-                             float((e * n * n - n) / 2), "==floor",
-                             True))
-        rows.append(AuditRow("bias-at-n", breaker_bias(n, e),
-                             float((1 - e) * n / 2), "==floor", True))
-    lhs = Fraction(9, 8) * e
-    rhs = e / 2
-    rows.append(AuditRow("size-vs-budget", float(lhs), float(rhs), ">",
-                         lhs > rhs))
-    lhs = Fraction(3, 2) * (1 - e)
-    rows.append(AuditRow("per-round-degree-increment", float(lhs), 1.5, "<=",
-                         lhs <= Fraction(3, 2)))
-    lhs = Fraction(2, 3) + 4 * e
-    rhs = 1 - e
-    rows.append(AuditRow("late-win-window", float(lhs), float(rhs), "<",
-                         lhs < rhs,
-                         flags=() if e < Fraction(1, 15) else ("needs-eps-below-1/15",)))
-    two_thirds = mp.mpf(2) / 3
-    f1 = (two_thirds - rt) / 8 - 3 * rt / 2 - 5 * ee / 4
-    rows.append(AuditRow("gain-factor-1", float(f1), 0.0, ">",
-                         f1 > 0, flags=() if f1 > 0 else ("nonpositive-factor",)))
-    f2 = (two_thirds - rt) / 4 - ee / 2 - 3 * rt / 2
-    rows.append(AuditRow("gain-factor-2", float(f2), 0.0, ">",
-                         f2 > 0, flags=() if f2 > 0 else ("nonpositive-factor",)))
-    prod = f1 * f2
-    prod_flags = []
-    if f1 <= 0 or f2 <= 0:
-        prod_flags.append("vacuous-product-of-nonpositive-factors")
-    rows.append(AuditRow("gain-product-vs-eps", float(prod), ef, ">",
-                         bool(prod > ef), flags=tuple(prod_flags)))
-    if n is not None:
-        s1 = int(mp.floor((two_thirds - rt) * n / 2))
-        rows.append(AuditRow("phase-one-rounds", s1, float((two_thirds - rt) * n / 2),
-                             "==floor", True))
-        rows.append(AuditRow("phase-two-rounds", 2 * s1, 2.0 * s1, "==", True))
-    const = float(overall_constant())
-    rows.append(AuditRow("improves-prior-lower", const, float(prior_lower_constant()),
-                         ">", const > float(prior_lower_constant())))
-    rows.append(AuditRow("below-prior-upper", const, float(prior_upper_constant()),
-                         "<", const < float(prior_upper_constant())))
-    return AuditReport(eps=e, n=n, rows=rows)
+        beta = (1 - e) / 2
+        rows.append(AuditRow("bias-fraction", float(beta), 0.5, "<=",
+                             beta <= Fraction(1, 2)))
+        if n is not None:
+            rows.append(AuditRow("saved-budget", saved_budget(e, n),
+                                 float((e * n * n - n) / 2), "==floor",
+                                 True))
+            rows.append(AuditRow("bias-at-n", breaker_bias(n, e),
+                                 float((1 - e) * n / 2), "==floor", True))
+        lhs = Fraction(9, 8) * e
+        rhs = e / 2
+        rows.append(AuditRow("size-vs-budget", float(lhs), float(rhs), ">",
+                             lhs > rhs))
+        lhs = Fraction(3, 2) * (1 - e)
+        rows.append(AuditRow("per-round-degree-increment", float(lhs), 1.5, "<=",
+                             lhs <= Fraction(3, 2)))
+        lhs = Fraction(2, 3) + 4 * e
+        rhs = 1 - e
+        rows.append(AuditRow("late-win-window", float(lhs), float(rhs), "<",
+                             lhs < rhs,
+                             flags=() if e < Fraction(1, 15) else ("needs-eps-below-1/15",)))
+        two_thirds = mp.mpf(2) / 3
+        f1 = (two_thirds - rt) / 8 - 3 * rt / 2 - 5 * ee / 4
+        rows.append(AuditRow("gain-factor-1", float(f1), 0.0, ">",
+                             f1 > 0, flags=() if f1 > 0 else ("nonpositive-factor",)))
+        f2 = (two_thirds - rt) / 4 - ee / 2 - 3 * rt / 2
+        rows.append(AuditRow("gain-factor-2", float(f2), 0.0, ">",
+                             f2 > 0, flags=() if f2 > 0 else ("nonpositive-factor",)))
+        prod = f1 * f2
+        prod_flags = []
+        if f1 <= 0 or f2 <= 0:
+            prod_flags.append("vacuous-product-of-nonpositive-factors")
+        rows.append(AuditRow("gain-product-vs-eps", float(prod), ef, ">",
+                             bool(prod > ef), flags=tuple(prod_flags)))
+        if n is not None:
+            s1 = int(mp.floor((two_thirds - rt) * n / 2))
+            rows.append(AuditRow("phase-one-rounds", s1, float((two_thirds - rt) * n / 2),
+                                 "==floor", True))
+            rows.append(AuditRow("phase-two-rounds", 2 * s1, 2.0 * s1, "==", True))
+        const = float(overall_constant())
+        rows.append(AuditRow("improves-prior-lower", const, float(prior_lower_constant()),
+                             ">", const > float(prior_lower_constant())))
+        rows.append(AuditRow("below-prior-upper", const, float(prior_upper_constant()),
+                             "<", const < float(prior_upper_constant())))
+        return AuditReport(eps=e, n=n, rows=rows)

@@ -19,14 +19,16 @@ from __future__ import annotations
 import itertools
 import os
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 from .board import (
+    BLOCKER,
+    BUILDER,
     UNCLAIMED,
     GameConfig,
     GameState,
     Role,
     Rules,
-    Status,
     Variant,
     edge_count,
 )
@@ -37,13 +39,14 @@ from .engine import (
     Move,
     Offer,
     Transcript,
+    _decision,
     _ScriptedPlayer,
+    _start,
     offerable_edges,
-    run_client_waiter,
-    run_maker_breaker,
+    run_game,
     validate_offer,
 )
-from .errors import CapacityError, StateError
+from .errors import CapacityError, RuleViolation, StateError
 
 DEFAULT_CAPACITY = {
     "mb_max_n": 6,
@@ -102,11 +105,15 @@ class _EdgeTables:
                 self.at_vertex[v] |= 1 << eid
                 eid += 1
 
-    def closer_mask(self, bld: int) -> int:
-        """Edges whose endpoints are joined with equal parity by bld."""
-        n = self.n
-        parent = list(range(n))
-        parity = [0] * n
+    def parity_find(self, edges: int):
+        """Union-find with parity over an edge mask, stopping at the first edge
+        whose endpoints already have equal parity (an odd cycle).
+
+        Returns (find, odd): find(x) is (root, parity of x) and covers every
+        edge only when odd is False.
+        """
+        parent = list(range(self.n))
+        parity = [0] * self.n
 
         def find(x):
             p = 0
@@ -115,7 +122,7 @@ class _EdgeTables:
                 x = parent[x]
             return x, p
 
-        m = bld
+        m = edges
         while m:
             e = (m & -m).bit_length() - 1
             m &= m - 1
@@ -125,61 +132,34 @@ class _EdgeTables:
             if ru != rv:
                 parent[rv] = ru
                 parity[rv] = pu ^ pv ^ 1
+            elif pu == pv:
+                return find, True
+        return find, False
+
+    def closer_mask(self, bld: int) -> int:
+        """Edges whose endpoints are joined with equal parity by bld, which
+        holds no odd cycle in any position still in play."""
+        find, _ = self.parity_find(bld)
         out = 0
-        for e in range(self.E):
-            if bld >> e & 1:
-                continue
+        for e in self.bits(self.full & ~bld):
             u, v = self.pairs[e]
-            ru, pu = find(u)
-            rv, pv = find(v)
-            if ru == rv and pu == pv:
+            if find(u) == find(v):
                 out |= 1 << e
         return out
 
     def odd_cycle_possible(self, edges: int) -> bool:
         """Can the edge set (as one graph) contain an odd cycle?"""
-        n = self.n
-        parent = list(range(n))
-        parity = [0] * n
+        return self.parity_find(edges)[1]
 
-        def find(x):
-            p = 0
-            while parent[x] != x:
-                p ^= parity[x]
-                x = parent[x]
-            return x, p
-
-        m = edges
-        while m:
-            e = (m & -m).bit_length() - 1
-            m &= m - 1
+    def legal(self, config: GameConfig, bld: int, unclaimed: int) -> int:
+        """Unclaimed edges the builder may claim, or be offered, under the rules."""
+        if config.rules is not Rules.CONNECTED or not bld:
+            return unclaimed
+        near = 0
+        for e in self.bits(bld):
             u, v = self.pairs[e]
-            ru, pu = find(u)
-            rv, pv = find(v)
-            if ru == rv:
-                if pu == pv:
-                    return True
-            else:
-                parent[rv] = ru
-                parity[rv] = pu ^ pv ^ 1
-        return False
-
-    def vertex_edges(self, vmask_vertices) -> int:
-        out = 0
-        for v in vmask_vertices:
-            out |= self.at_vertex[v]
-        return out
-
-    def touched_vertices(self, edges: int) -> set[int]:
-        out = set()
-        m = edges
-        while m:
-            e = (m & -m).bit_length() - 1
-            m &= m - 1
-            u, v = self.pairs[e]
-            out.add(u)
-            out.add(v)
-        return out
+            near |= self.at_vertex[u] | self.at_vertex[v]
+        return unclaimed & near
 
     def bits(self, mask: int) -> list[int]:
         out = []
@@ -190,22 +170,48 @@ class _EdgeTables:
         return out
 
 
-_TABLES: dict[int, _EdgeTables] = {}
-
-
+@lru_cache(maxsize=16)
 def _tables(n: int) -> _EdgeTables:
-    if n not in _TABLES:
-        _TABLES[n] = _EdgeTables(n)
-    return _TABLES[n]
+    return _EdgeTables(n)
 
 
-# -- Maker-Breaker ----------------------------------------------------------------
+def _masks(state: GameState) -> tuple[int, int]:
+    """Edge masks of the builder's and the blocker's claims."""
+    bld = blk = 0
+    for e in range(state.E):
+        if state.own[e] == 1:
+            bld |= 1 << e
+        elif state.own[e] == 2:
+            blk |= 1 << e
+    return bld, blk
 
 
-class MBSolver:
-    """Memoized game value of Maker-Breaker positions on K_n."""
+def offers(t: _EdgeTables, config: GameConfig, cli: int, unclaimed: int):
+    """All sets the waiter may put on the table, deterministically ordered."""
+    b = config.b
+    if config.rules is Rules.CONNECTED and cli == 0:
+        seen = set()
+        out = []
+        for v in range(t.n):
+            star = t.bits(t.at_vertex[v] & unclaimed)
+            for size in range(1, min(b + 1, len(star)) + 1):
+                for comb in itertools.combinations(star, size):
+                    if comb not in seen:
+                        seen.add(comb)
+                        out.append(comb)
+        out.sort(key=lambda c: (len(c), c))
+        return out
+    pool = t.bits(t.legal(config, cli, unclaimed))
+    out = []
+    for size in range(1, min(b + 1, len(pool)) + 1):
+        out.extend(itertools.combinations(pool, size))
+    return out
 
-    def __init__(self, config: GameConfig, node_cap: int | None = None):
+
+class _Search:
+    """Memo, node budget and closing-edge cache of one exact solver."""
+
+    def __init__(self, config: GameConfig, node_cap: int | None):
         caps = capacity_limits()
         _check_size(config, caps)
         self.config = config
@@ -222,17 +228,23 @@ class MBSolver:
             self.closers_cache[bld] = m
         return m
 
-    def _legal(self, bld: int, unclaimed: int) -> int:
-        if self.config.rules is Rules.CONNECTED and bld:
-            return unclaimed & self.t.vertex_edges(self.t.touched_vertices(bld))
-        return unclaimed
-
     def _tick(self):
         self.nodes += 1
         if self.nodes > self.node_cap:
             raise CapacityError(
                 f"exact search exceeded {self.node_cap} nodes; raise "
                 f"solve_node_cap via {ENV_OVERRIDE}")
+
+
+# -- Maker-Breaker ----------------------------------------------------------------
+
+
+class MBSolver(_Search):
+    """Memoized game value of Maker-Breaker positions on K_n."""
+
+    # each solver class keeps an __init__ of its own: perfbench's tracer wraps it per class
+    def __init__(self, config: GameConfig, node_cap: int | None = None):
+        super().__init__(config, node_cap)
 
     def builder_wins(self, bld: int, blk: int) -> bool:
         """Value with the builder to move."""
@@ -246,7 +258,7 @@ class MBSolver:
         if unclaimed == 0:
             result = False
         else:
-            legal = self._legal(bld, unclaimed)
+            legal = self.t.legal(self.config, bld, unclaimed)
             if legal == 0:
                 result = False
             elif self._closers(bld) & legal:
@@ -276,7 +288,7 @@ class MBSolver:
         if hit is not None:
             return hit
         self._tick()
-        live = self._closers(bld) & self._legal(bld, unclaimed)
+        live = self._closers(bld) & self.t.legal(self.config, bld, unclaimed)
         if bin(live).count("1") > claims_left:
             self.memo[key] = True
             return True
@@ -289,80 +301,22 @@ class MBSolver:
         self.memo[key] = result
         return result
 
-    def from_state(self, state: GameState, mover: Role, claims_left: int | None = None):
-        bld = blk = 0
-        for e in range(state.E):
-            if state.own[e] == 1:
-                bld |= 1 << e
-            elif state.own[e] == 2:
-                blk |= 1 << e
-        if mover is Role.BUILDER:
-            return self.builder_wins(bld, blk)
-        return self.blocker_turn(bld, blk, claims_left)
-
 
 # -- Client-Waiter ------------------------------------------------------------------
 
 
-class CWSolver:
+class CWSolver(_Search):
     """Memoized game value of monotone Client-Waiter positions on K_n."""
 
     def __init__(self, config: GameConfig, node_cap: int | None = None):
-        caps = capacity_limits()
-        _check_size(config, caps)
-        self.config = config
-        self.t = _tables(config.n)
-        self.node_cap = node_cap if node_cap is not None else caps["solve_node_cap"]
-        self.nodes = 0
-        self.memo: dict = {}
-        self.closers_cache: dict[int, int] = {}
-
-    def _closers(self, cli: int) -> int:
-        m = self.closers_cache.get(cli)
-        if m is None:
-            m = self.t.closer_mask(cli)
-            self.closers_cache[cli] = m
-        return m
-
-    def _tick(self):
-        self.nodes += 1
-        if self.nodes > self.node_cap:
-            raise CapacityError(
-                f"exact search exceeded {self.node_cap} nodes; raise "
-                f"solve_node_cap via {ENV_OVERRIDE}")
-
-    def _offerable(self, cli: int, unclaimed: int) -> int:
-        if self.config.rules is Rules.CONNECTED and cli:
-            return unclaimed & self.t.vertex_edges(self.t.touched_vertices(cli))
-        return unclaimed
-
-    def offers(self, cli: int, unclaimed: int):
-        """All sets the waiter may put on the table, deterministically ordered."""
-        b = self.config.b
-        if self.config.rules is Rules.CONNECTED and cli == 0:
-            seen = set()
-            out = []
-            for v in range(self.t.n):
-                star = self.t.bits(self.t.at_vertex[v] & unclaimed)
-                for size in range(1, min(b + 1, len(star)) + 1):
-                    for comb in itertools.combinations(star, size):
-                        if comb not in seen:
-                            seen.add(comb)
-                            out.append(comb)
-            out.sort(key=lambda c: (len(c), c))
-            return out
-        pool = self.t.bits(self._offerable(cli, unclaimed))
-        out = []
-        for size in range(1, min(b + 1, len(pool)) + 1):
-            out.extend(itertools.combinations(pool, size))
-        return out
+        super().__init__(config, node_cap)
 
     def client_wins(self, cli: int, wtr: int) -> bool:
         """Value with the waiter about to offer."""
         unclaimed = self.t.full & ~(cli | wtr)
         if unclaimed == 0:
             return False
-        if self._offerable(cli, unclaimed) == 0:
+        if self.t.legal(self.config, cli, unclaimed) == 0:
             return True
         key = (cli, wtr)
         hit = self.memo.get(key)
@@ -371,7 +325,7 @@ class CWSolver:
         self._tick()
         closing = self._closers(cli)
         result = True
-        for offer in self.offers(cli, unclaimed):
+        for offer in offers(self.t, self.config, cli, unclaimed):
             offer_mask = 0
             for e in offer:
                 offer_mask |= 1 << e
@@ -397,7 +351,7 @@ class CWSolver:
 class SolveResult:
     config: GameConfig
     winner: Role
-    nodes: int
+    nodes: int  # search nodes this call visited; 0 when the cache held the answer
 
 
 _SOLVER_CACHE: dict = {}
@@ -420,12 +374,13 @@ def solve_game(config: GameConfig) -> SolveResult:
     # the cache may hold boards solved under a looser limit; gate every call
     _check_size(config, capacity_limits())
     solver = _solver_for(config)
+    before = solver.nodes
     if config.variant is Variant.MAKER_BREAKER:
         win = solver.builder_wins(0, 0)
     else:
         win = solver.client_wins(0, 0)
     return SolveResult(config=config, winner=Role.BUILDER if win else Role.BLOCKER,
-                       nodes=solver.nodes)
+                       nodes=solver.nodes - before)
 
 
 def exact_threshold(n: int, variant: Variant, rules: Rules) -> int:
@@ -447,23 +402,13 @@ def exact_threshold(n: int, variant: Variant, rules: Rules) -> int:
 # -- oracle moves -----------------------------------------------------------------------
 
 
-def _masks(state: GameState) -> tuple[int, int]:
-    bld = blk = 0
-    for e in range(state.E):
-        if state.own[e] == 1:
-            bld |= 1 << e
-        elif state.own[e] == 2:
-            blk |= 1 << e
-    return bld, blk
-
-
 def best_claim(state: GameState, role: Role, claims_left: int | None = None):
     """Optimal claim for a Maker-Breaker position, or None to concede."""
     solver = _solver_for(state.config)
     bld, blk = _masks(state)
     unclaimed = solver.t.full & ~(bld | blk)
     if role is Role.BUILDER:
-        legal = solver._legal(bld, unclaimed)
+        legal = solver.t.legal(state.config, bld, unclaimed)
         if legal == 0:
             return None
         close = solver._closers(bld) & legal
@@ -489,9 +434,9 @@ def best_offer(state: GameState) -> tuple[int, ...]:
     cli, wtr = _masks(state)
     unclaimed = solver.t.full & ~(cli | wtr)
     closing = solver._closers(cli)
-    offers = solver.offers(cli, unclaimed)
+    options = offers(solver.t, state.config, cli, unclaimed)
     fallback = None
-    for offer in offers:
+    for offer in options:
         offer_mask = 0
         for e in offer:
             offer_mask |= 1 << e
@@ -502,7 +447,7 @@ def best_offer(state: GameState) -> tuple[int, ...]:
         if all(not solver.client_wins(cli | (1 << e), wtr | (offer_mask & ~(1 << e)))
                for e in offer):
             return tuple(offer)
-    return tuple(fallback if fallback is not None else offers[0])
+    return tuple(fallback if fallback is not None else options[0])
 
 
 def best_choice(state: GameState, offered) -> int:
@@ -536,276 +481,210 @@ class VerificationResult:
     violations: list = field(default_factory=list)
 
 
-class _VerifyContext:
-    def __init__(self, node_cap: int):
+class _Verifier:
+    """Depth-first walk over every line of the opponent against one pinned
+    strategy, memoized on the board and the strategy's state key.
+
+    A node is a round start (claims_left 0) or a Maker-Breaker blocker turn
+    with claims left.  At a node one side claims: the maker or one breaker
+    claim, or the client's choice from each of the waiter's offers.  The
+    pinned side asks its strategy once per decision; the opponent tries
+    every legal move.  The first line the pinned side loses is kept in
+    .failure, and the walk then unwinds.
+    """
+
+    def __init__(self, config: GameConfig, strategy, side: Role, hooks, node_cap: int):
+        self.config = config
+        self.mb = config.variant is Variant.MAKER_BREAKER
+        self.t = _tables(config.n)
+        self.strategy = strategy
+        self.side = side
+        self.hooks = hooks
         self.node_cap = node_cap
         self.nodes = 0
         self.memo: dict = {}
-        self.path: list[Move] = []
+        # the current line, as Move fields; Move objects are built only for
+        # hooks and for the failure
+        self.path: list[tuple] = []
         self.failure: list[Move] | None = None
+        # at the node being expanded, where many offers lead to the same
+        # claim: whether claiming each edge wins, the board after it, and
+        # what the hooks are shown for each decision
+        self.wins: dict[int, bool] = {}
+        self.after: dict[int, GameState] = {}
+        self.shown: dict[tuple, tuple] = {}
 
-    def tick(self):
+    def fail(self) -> bool:
+        if self.failure is None:
+            self.failure = [Move(*m) for m in self.path]
+        return False
+
+    def visit(self, state: GameState, claims_left: int = 0) -> bool:
+        """True when the pinned side wins every line from this node."""
+        if self.failure is not None:
+            return False
+        if state.unclaimed_count == 0:
+            claims_left = 0
+        if claims_left == 0:
+            if state.unclaimed_count == 0:
+                winner = Role.BLOCKER
+            elif self.mb:
+                winner = None if state.has_legal_builder_move() else Role.BLOCKER
+            else:
+                winner = None if offerable_edges(state) else Role.BUILDER
+            if winner is not None:
+                return winner is self.side or self.fail()
+        key = (bytes(state.own), claims_left, self.strategy.state_key())
+        hit = self.memo.get(key)
+        if hit is not None:
+            return hit
         self.nodes += 1
         if self.nodes > self.node_cap:
             raise CapacityError(
                 f"verification exceeded {self.node_cap} nodes; raise "
                 f"verify_node_cap via {ENV_OVERRIDE}")
+        s = state.builder_edge_count
+        if claims_left == 0:
+            for h in self.hooks:
+                h.after_round(state, s)
+            s += 1
+        outer = self.wins, self.after, self.shown
+        self.wins, self.after, self.shown = {}, {}, {}
+        if self.mb:
+            role = Role.BLOCKER if claims_left else Role.BUILDER
+            result = self.turn(state, claims_left, s, role, ())
+        else:
+            result = self.offer_round(state, s)
+        self.wins, self.after, self.shown = outer
+        self.memo[key] = result
+        return result
 
-    def push(self, s, role, action, branch=None):
-        self.path.append(Move(s, len(self.path), role, action, branch))
-
-    def pop(self):
-        self.path.pop()
-
-    def fail(self):
-        if self.failure is None:
-            self.failure = list(self.path)
-
-
-def _strategy_key(strategy, side_fixed: bool):
-    return strategy.state_key() if side_fixed else None
-
-
-def _verify_mb(config: GameConfig, strategy, side: Role, hooks, ctx: _VerifyContext):
-    def builder_node(state: GameState) -> bool:
-        if ctx.failure is not None:
-            return False
-        s = state.builder_edge_count + 1
-        if state.unclaimed_count == 0 or not state.has_legal_builder_move():
-            if side is Role.BUILDER:
-                ctx.fail()
-                return False
-            return True
-        key = (bytes(state.own), "B", strategy.state_key())
-        hit = ctx.memo.get(key)
-        if hit is not None:
-            if hit is False:
-                ctx.fail()
-            return hit
-        ctx.tick()
-        for h in hooks:
-            h.after_round(state, s - 1)
-        claims_after = lambda st: min(config.b, st.unclaimed_count)
-        if side is Role.BUILDER:
-            snap = strategy.snapshot()
-            action, branch = _decide(strategy.claim_edge(state))
+    def offer_round(self, state, s) -> bool:
+        """The waiter's offers, each followed by the client's choice."""
+        if self.side is Role.BLOCKER:
+            snap = self.strategy.snapshot()
+            action, branch = _decision(self.strategy.make_offer(state))
+            if isinstance(action, Offer):
+                action = Offer(validate_offer(state, action.edges))
+            elif not isinstance(action, Forfeit):
+                raise RuleViolation(f"waiter returned {action!r}, expected an offer")
+            lines = [(action, branch)]
+        else:
+            cli, wtr = _masks(state)
+            unclaimed = self.t.full & ~(cli | wtr)
+            lines = [(Offer(o), None) for o in offers(self.t, self.config, cli, unclaimed)]
+        k = len(self.path)
+        ok = True
+        for action, branch in lines:
             if isinstance(action, Forfeit):
-                ctx.push(s, Role.BUILDER, action, branch)
-                for h in hooks:
-                    h.after_claim(state, ctx.path[-1])
-                ctx.fail()
-                ctx.pop()
-                strategy.restore(snap)
-                ctx.memo[key] = False
-                return False
-            clone = state.clone()
-            clone.apply_claim(Role.BUILDER, action.edge)
-            ctx.push(s, Role.BUILDER, action, branch)
-            for h in hooks:
-                h.after_claim(clone, ctx.path[-1])
-            if clone.status is Status.BUILDER_WIN:
-                result = True
+                ok = self.settle(state, 0, s, Role.BLOCKER, (), action, branch)
+                break
+            self.path.append((s, k, Role.BLOCKER, action, branch))
+            ok = self.turn(state, 0, s, Role.BUILDER, action.edges)
+            self.path.pop()
+            if not ok:
+                break
+        if self.side is Role.BLOCKER:
+            self.strategy.restore(snap)
+        return ok
+
+    def turn(self, state, claims_left, s, role, offer) -> bool:
+        """One claim by role (the client's is a choice from offer): the pinned
+        side's decision, or every legal claim of the opponent."""
+        if role is self.side:
+            snap = self.strategy.snapshot()
+            if not self.mb:
+                raw = self.strategy.choose_from(state, offer)
+            elif role is Role.BUILDER:
+                raw = self.strategy.claim_edge(state)
             else:
-                result = blocker_phase(clone, claims_after(clone))
-            ctx.pop()
-            strategy.restore(snap)
-            ctx.memo[key] = result
-            return result
-        result = True
-        for e in sorted(state.legal_builder_moves()):
-            clone = state.clone()
-            clone.apply_claim(Role.BUILDER, e)
-            ctx.push(s, Role.BUILDER, ClaimEdge(e))
-            if clone.status is Status.BUILDER_WIN:
-                ctx.fail()
-                ctx.pop()
-                result = False
-                break
-            sub = blocker_phase(clone, claims_after(clone))
-            ctx.pop()
-            if not sub:
-                result = False
-                break
-        ctx.memo[key] = result
-        return result
-
-    def blocker_phase(state: GameState, claims_left: int) -> bool:
-        if ctx.failure is not None:
-            return False
-        if claims_left == 0 or state.unclaimed_count == 0:
-            return builder_node(state)
-        key = (bytes(state.own), claims_left, strategy.state_key())
-        hit = ctx.memo.get(key)
-        if hit is not None:
-            if hit is False:
-                ctx.fail()
-            return hit
-        ctx.tick()
-        s = state.builder_edge_count
-        if side is Role.BLOCKER:
-            snap = strategy.snapshot()
-            action, branch = _decide(strategy.claim_edge(state, claims_left))
-            if isinstance(action, Forfeit):
-                ctx.push(s, Role.BLOCKER, action, branch)
-                for h in hooks:
-                    h.after_claim(state, ctx.path[-1])
-                ctx.fail()
-                ctx.pop()
-                strategy.restore(snap)
-                ctx.memo[key] = False
+                raw = self.strategy.claim_edge(state, claims_left)
+            action, branch = _decision(raw)
+            ok = self.settle(state, claims_left, s, role, offer, action, branch)
+            self.strategy.restore(snap)
+            return ok
+        if not self.mb:
+            moves = [Choose(e) for e in sorted(offer)]
+        elif role is Role.BUILDER:
+            moves = [ClaimEdge(e) for e in sorted(state.legal_builder_moves())]
+        else:
+            moves = [ClaimEdge(e) for e in range(state.E) if state.own[e] == UNCLAIMED]
+        for action in moves:
+            if not self.settle(state, claims_left, s, role, offer, action, None):
                 return False
-            clone = state.clone()
-            clone.apply_claim(Role.BLOCKER, action.edge)
-            ctx.push(s, Role.BLOCKER, action, branch)
-            for h in hooks:
-                h.after_claim(clone, ctx.path[-1])
-            result = blocker_phase(clone, claims_left - 1)
-            ctx.pop()
-            strategy.restore(snap)
-            ctx.memo[key] = result
-            return result
-        result = True
-        for e in range(state.E):
-            if state.own[e] != UNCLAIMED:
-                continue
-            clone = state.clone()
-            clone.apply_claim(Role.BLOCKER, e)
-            ctx.push(s, Role.BLOCKER, ClaimEdge(e))
-            sub = blocker_phase(clone, claims_left - 1)
-            ctx.pop()
-            if not sub:
-                result = False
-                break
-        ctx.memo[key] = result
-        return result
+        return True
 
-    state = GameState(config)
-    if hasattr(strategy, "start"):
-        strategy.start(state)
-    return builder_node(state)
-
-
-def _verify_cw(config: GameConfig, strategy, side: Role, hooks, ctx: _VerifyContext):
-    t = _tables(config.n)
-
-    def offers_for(state: GameState):
-        unclaimed_mask = 0
-        for e in range(state.E):
-            if state.own[e] == UNCLAIMED:
-                unclaimed_mask |= 1 << e
-        cli = 0
-        for e in range(state.E):
-            if state.own[e] == 1:
-                cli |= 1 << e
-        solver_like = CWSolver.__new__(CWSolver)
-        solver_like.config = config
-        solver_like.t = t
-        return CWSolver.offers(solver_like, cli, unclaimed_mask)
-
-    def waiter_node(state: GameState) -> bool:
-        if ctx.failure is not None:
-            return False
-        s = state.builder_edge_count
-        if state.unclaimed_count == 0:
-            if side is Role.BUILDER:
-                ctx.fail()
-                return False
-            return True
-        if not offerable_edges(state):
-            if side is Role.BLOCKER:
-                ctx.fail()
-                return False
-            return True
-        key = (bytes(state.own), strategy.state_key())
-        hit = ctx.memo.get(key)
-        if hit is not None:
-            if hit is False:
-                ctx.fail()
-            return hit
-        ctx.tick()
-        for h in hooks:
-            h.after_round(state, s)
-        if side is Role.BUILDER:
-            result = True
-            for offer in offers_for(state):
-                snap = strategy.snapshot()
-                action, branch = _decide(strategy.choose_from(state, offer))
-                ctx.push(s + 1, Role.BLOCKER, Offer(tuple(offer)))
-                if isinstance(action, Forfeit):
-                    ctx.push(s + 1, Role.BUILDER, action, branch)
-                    for h in hooks:
-                        h.after_claim(state, ctx.path[-1])
-                    ctx.fail()
-                    ctx.pop()
-                    ctx.pop()
-                    strategy.restore(snap)
-                    result = False
-                    break
-                clone = state.clone()
-                clone.apply_claim(Role.BUILDER, action.edge)
-                ctx.push(s + 1, Role.BUILDER, action, branch)
-                for h in hooks:
-                    h.after_claim(clone, ctx.path[-1])
-                if clone.status is not Status.BUILDER_WIN:
-                    for e in offer:
-                        if e != action.edge:
-                            clone.apply_claim(Role.BLOCKER, e)
-                    sub = waiter_node(clone)
-                else:
-                    sub = True
-                ctx.pop()
-                ctx.pop()
-                strategy.restore(snap)
-                if not sub:
-                    result = False
-                    break
-            ctx.memo[key] = result
-            return result
-        snap = strategy.snapshot()
-        action, branch = _decide(strategy.make_offer(state))
+    def settle(self, state, claims_left, s, role, offer, action, branch) -> bool:
+        """Play one claim (or concession) and search on from the board it leaves."""
+        self.path.append((s, len(self.path), role, action, branch))
         if isinstance(action, Forfeit):
-            ctx.push(s + 1, Role.BLOCKER, action, branch)
-            ctx.fail()
-            ctx.pop()
-            strategy.restore(snap)
-            ctx.memo[key] = False
-            return False
-        offer = validate_offer(state, action.edges)
-        result = True
-        for e in sorted(offer):
-            clone = state.clone()
-            clone.apply_claim(Role.BUILDER, e)
-            ctx.push(s + 1, Role.BLOCKER, Offer(offer), branch)
-            ctx.push(s + 1, Role.BUILDER, Choose(e))
-            if clone.status is Status.BUILDER_WIN:
-                ctx.fail()
-                ctx.pop()
-                ctx.pop()
-                result = False
-                break
-            for m in offer:
-                if m != e:
-                    clone.apply_claim(Role.BLOCKER, m)
-            sub = waiter_node(clone)
-            ctx.pop()
-            ctx.pop()
-            if not sub:
-                result = False
-                break
-        strategy.restore(snap)
-        ctx.memo[key] = result
-        return result
+            move = Move(*self.path[-1])
+            for h in self.hooks:
+                h.after_claim(state, move)
+            ok = self.fail()
+        else:
+            e = action.edge
+            if role is self.side and offer and e not in offer:
+                raise RuleViolation(f"client chose edge {e} outside the offer")
+            won = self.wins.get(e)
+            if won is None:
+                # the opponent's claims are legal by construction; the
+                # strategy's are checked as a played game checks them
+                if role is self.side:
+                    state.check_claim(role, e)
+                won = self.wins[e] = role is Role.BUILDER and state.closes_odd_cycle(e)
+            if role is self.side and self.hooks:
+                self.claimed(state, role, action, branch)
+            if won:
+                ok = self.side is Role.BUILDER or self.fail()
+            else:
+                ok = self.claim(state, claims_left, role, offer, e)
+        self.path.pop()
+        return ok
 
-    state = GameState(config)
-    if hasattr(strategy, "start"):
-        strategy.start(state)
-    return waiter_node(state)
+    def claimed(self, state, role, action, branch):
+        """Show the hooks the pinned side's claim and the board after it."""
+        key = (type(action), action.edge, branch)
+        seen = self.shown.get(key)
+        if seen is None:
+            seen = self.shown[key] = (self.board_after(state, role, action.edge),
+                                      Move(*self.path[-1]))
+        for h in self.hooks:
+            h.after_claim(*seen)
 
+    def claim(self, state, claims_left, role, offer, e) -> bool:
+        """A claim that does not end the game; a chosen edge's offer-mates go
+        to the waiter.  The memo is read before any board is built."""
+        mates = [m for m in offer if m != e]
+        left = state.unclaimed_count - 1 - len(mates)
+        if offer or left == 0:
+            claims_left = 0
+        elif role is Role.BUILDER:
+            claims_left = min(self.config.b, left)
+        else:
+            claims_left -= 1
+        own = bytearray(state.own)
+        own[e] = BUILDER if role is Role.BUILDER else BLOCKER
+        for m in mates:
+            own[m] = BLOCKER
+        hit = self.memo.get((bytes(own), claims_left, self.strategy.state_key()))
+        if hit is not None:
+            return hit
+        child = self.board_after(state, role, e)
+        if mates:
+            child = child.clone()
+            for m in mates:
+                child.apply_claim(Role.BLOCKER, m)
+        return self.visit(child, claims_left)
 
-def _decide(raw):
-    if isinstance(raw, tuple):
-        return raw
-    return raw, None
+    def board_after(self, state, role, e) -> GameState:
+        """The board after role claims e at the node being expanded, made
+        once per edge; the walk never changes it."""
+        board = self.after.get(e)
+        if board is None:
+            board = self.after[e] = state.clone()
+            board.apply_claim(role, e)
+        return board
 
 
 def verify_strategy(config: GameConfig, strategy_factory, side: Role,
@@ -814,35 +693,34 @@ def verify_strategy(config: GameConfig, strategy_factory, side: Role,
 
     strategy_factory is a zero-argument callable producing a fresh strategy;
     it is called once for the search and once more to rebuild a losing line
-    into a transcript when one is found.
+    into a transcript when one is found.  A strategy that draws from a random
+    generator is rejected with ValueError: its moves depend on state that
+    neither the search memo nor the rebuild can see.
     """
     caps = capacity_limits()
     _check_size(config, caps, kind="verify_")
     cap = node_cap if node_cap is not None else caps["verify_node_cap"]
-    ctx = _VerifyContext(cap)
     strategy = strategy_factory()
-    if config.variant is Variant.MAKER_BREAKER:
-        ok = _verify_mb(config, strategy, side, hooks, ctx)
-    else:
-        ok = _verify_cw(config, strategy, side, hooks, ctx)
+    if getattr(strategy, "rng", None) is not None:
+        raise ValueError(f"cannot verify {type(strategy).__name__}: "
+                         "it draws from a random generator")
+    walk = _Verifier(config, strategy, side, hooks, cap)
+    state = GameState(config)
+    _start(strategy, state)
+    ok = walk.visit(state)
     counterexample = None
-    if not ok and ctx.failure is not None:
+    if not ok:
         fresh = strategy_factory()
-        opponent_role = side.opponent
-        scripted = _ScriptedPlayer(ctx.failure, opponent_role)
-        if config.variant is Variant.MAKER_BREAKER:
-            if side is Role.BUILDER:
-                counterexample = run_maker_breaker(config, fresh, scripted)
-            else:
-                counterexample = run_maker_breaker(config, scripted, fresh)
-        else:
-            if side is Role.BUILDER:
-                counterexample = run_client_waiter(config, scripted, fresh)
-            else:
-                counterexample = run_client_waiter(config, fresh, scripted)
+        scripted = _ScriptedPlayer(walk.failure, side.opponent)
+        builder, blocker = (fresh, scripted) if side is Role.BUILDER else (scripted, fresh)
+        counterexample = run_game(config, builder, blocker)
+        if counterexample.winner is not side.opponent:
+            raise StateError(
+                f"the refuting line replays as a {counterexample.winner.value} win; "
+                "the strategy's moves depend on state outside its state_key")
     violations = []
     for h in hooks:
         violations.extend(h.violations)
-    return VerificationResult(config=config, side=side, verified=bool(ok),
-                              nodes=ctx.nodes, counterexample=counterexample,
+    return VerificationResult(config=config, side=side, verified=ok,
+                              nodes=walk.nodes, counterexample=counterexample,
                               violations=violations)

@@ -135,10 +135,10 @@ class BreakerConnected(Strategy):
         pick = self._balance_pick(state, i2, i1, secondary=False)
         if pick is not None:
             return ClaimEdge(pick), "breaker:balance-high"
-        for eid in range(state.E):
-            if state.own[eid] == UNCLAIMED:
-                return ClaimEdge(eid), "breaker:fallback"
-        raise StateError("no unclaimed edge left for the blocker")
+        eid = state.own.find(UNCLAIMED)
+        if eid < 0:
+            raise StateError("no unclaimed edge left for the blocker")
+        return ClaimEdge(eid), "breaker:fallback"
 
     def _lowest_part_r_edge(self, state, i):
         best = None
@@ -381,20 +381,26 @@ class GreedyBreaker(Strategy):
     def claim_edge(self, state: GameState, claims_left: int):
         if state.threat_edges:
             return ClaimEdge(min(state.threat_edges)), "greedy:block"
+        deg = state.builder_deg
+        by_deg = sorted(range(state.n), key=lambda v: -deg[v])  # stable: ties by v
+        top = deg[by_deg[0]]
+        xs = state.builder_vertices() | state.r_set
         best = None  # (deg_x + deg_y descending, edge id ascending)
-        for x in sorted(state.builder_vertices() | state.r_set,
-                        key=lambda v: (-len(state.builder_adj[v]), v)):
+        for x in by_deg:
+            if x not in xs:
+                continue
+            if best is not None and deg[x] + top < -best[0][0]:
+                break  # no pair at x or later reaches the current degree sum
             row = state.eindex[x]
-            for y in range(state.n):
-                if y == x:
-                    continue
-                e = row[y]
-                if state.own[e] != UNCLAIMED:
-                    continue
-                key = (-(len(state.builder_adj[x]) + len(state.builder_adj[y])), e)
-                if best is None or key < best[0]:
-                    best = (key, e)
-            if best is not None and len(state.builder_adj[x]) == 0:
+            # edge ids rise with y, so x's best pair is its first unclaimed
+            # partner in by_deg order
+            for y in by_deg:
+                if y != x and state.own[row[y]] == UNCLAIMED:
+                    key = (-(deg[x] + deg[y]), row[y])
+                    if best is None or key < best[0]:
+                        best = (key, row[y])
+                    break
+            if best is not None and deg[x] == 0:
                 break  # remaining vertices cannot beat the current pick
         if best is None:
             raise StateError("no unclaimed edge left for the blocker")

@@ -313,6 +313,9 @@ def test_config_validation():
     with pytest.raises(ValueError):
         GameConfig(n=5, b=0, variant=Variant.MAKER_BREAKER)
     GameConfig(n=5, b=0, variant=Variant.CLIENT_WAITER)
+    for n, b in (("5", 1), (5, "1"), (5.0, 1), (5, True)):
+        with pytest.raises(ValueError, match="must be an integer"):
+            GameConfig(n=n, b=b)
 
 
 def test_merge_flips_smaller_component():

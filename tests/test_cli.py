@@ -117,6 +117,11 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     code, _, err = run(["tournament", "--config", str(cfg)], capsys)
     assert code == 2
     assert "bogus" in err
+    for bias in ({"b": 1}, {"bias_frac": "0.5"}):
+        cfg.write_text(json.dumps({"n": "5", **bias}))
+        code, _, err = run(["play", "--config", str(cfg)], capsys)
+        assert code == 2
+        assert "n must be an integer" in err
 
 
 def test_assert_mode_fails_fast_with_state(capsys):
@@ -208,6 +213,13 @@ def test_verify_accepts_and_refutes(tmp_path, capsys):
     assert "refuted" in stdout
     assert main(["replay", str(ce)]) == 0
     capsys.readouterr()
+    # random strategies hide their generator from the search: usage error
+    for extra in (["--strategy", "random-maker", "--side", "builder", "--n", "5"],
+                  ["--strategy", "random-waiter", "--side", "blocker", "--n", "4",
+                   "--variant", "client-waiter", "--rules", "connected"]):
+        code, _, err = run(["verify", "--b", "1", *extra], capsys)
+        assert code == 2
+        assert "random generator" in err
 
 
 def test_optimize_continuous_and_discrete(tmp_path, capsys):
@@ -259,6 +271,13 @@ def test_replay_detects_corruption(tmp_path, capsys):
     assert "parse error" in err
     code, _, err = run(["replay", str(tmp_path / "missing.json")], capsys)
     assert code == 2
+    d = json.loads(game.read_text())
+    d["config"]["n"] = "5"
+    for doc in (d, [], {**d, "config": []}, {**d, "moves": [1]}):
+        bad.write_text(json.dumps(doc))
+        code, _, err = run(["replay", str(bad)], capsys)
+        assert code == 2
+        assert "parse error" in err
 
 
 def test_capacity_flag_and_exit_code(clean_env, capsys):

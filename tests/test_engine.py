@@ -1,5 +1,6 @@
 import json
 import random
+from pathlib import Path
 
 import pytest
 
@@ -332,3 +333,12 @@ def test_cw_win_on_choice_leaves_mates_unclaimed():
 def test_make_strategy_rejects_unknown():
     with pytest.raises(ValueError):
         make_strategy("no-such-strategy", mb_config())
+
+
+def test_readme_library_example(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    exec(block, {})
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].split()[0] in ("builder", "blocker")
+    assert Transcript.from_json(lines[1]).config.seed == 42

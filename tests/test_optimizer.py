@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 
 from oddcycle.board import edge_index
@@ -230,7 +231,9 @@ def test_saved_budget_and_bias_values():
 
 
 def test_audit_rows_at_006():
+    dps = mpmath.mp.dps
     rep = breaker_constant_audit(EPS06, n=200)
+    assert mpmath.mp.dps == dps  # the audit's working precision does not leak
     rows = {r.name: r for r in rep.rows}
     assert rows["bias-fraction"].lhs == pytest.approx(0.47)
     assert rows["saved-budget"].lhs == 1100

@@ -1,13 +1,33 @@
 import collections
+import hashlib
 import itertools
 import random
 
 import pytest
 
-from oddcycle.board import GameConfig, GameState, Role, Rules, Variant, edge_count
-from oddcycle.engine import replay, run_client_waiter, run_maker_breaker
-from oddcycle.errors import CapacityError
+from oddcycle.board import (
+    BLOCKER,
+    BUILDER,
+    GameConfig,
+    GameState,
+    Role,
+    Rules,
+    Status,
+    Variant,
+    edge_count,
+)
+from oddcycle.engine import (
+    Choose,
+    ClaimEdge,
+    Forfeit,
+    GameHook,
+    replay,
+    run_client_waiter,
+    run_maker_breaker,
+)
+from oddcycle.errors import CapacityError, RuleViolation, StateError
 from oddcycle.solver import (
+    _SOLVER_CACHE,
     CWSolver,
     DEFAULT_CAPACITY,
     MBSolver,
@@ -255,39 +275,149 @@ def test_best_moves_on_states():
     assert sw.eindex[0][2] not in off
 
 
-def test_verify_client_connected_small():
-    for n, b in ((4, 0), (5, 1)):
-        cfg = cw(n, b)
-        res = verify_strategy(cfg, ClientConnected, Role.BUILDER)
-        assert res.verified, (n, b)
+def check_verification(res, side, verified, nodes):
+    """Pin the verdict and node count; a refutation must replay as a loss."""
+    assert (res.verified, res.nodes) == (verified, nodes)
+    if verified:
         assert res.counterexample is None
-        assert res.nodes > 0
+    else:
+        assert replay(res.counterexample).winner is side.opponent
+
+
+def test_verify_client_connected_small():
+    for n, b, lookahead, verified, nodes in ((4, 0, "post-round", True, 38),
+                                             (5, 1, "post-round", True, 8778),
+                                             (5, 1, "claim-only", False, 3558)):
+        res = verify_strategy(cw(n, b), lambda: ClientConnected(lookahead), Role.BUILDER)
+        check_verification(res, Role.BUILDER, verified, nodes)
 
 
 def test_verify_breaker_connected_small():
-    for n, b in ((4, 1), (5, 2)):
+    for n, b, verified, nodes in ((4, 1, True, 61), (5, 1, False, 6), (5, 2, True, 413),
+                                  (6, 2, True, 11010)):
         cfg = mb(n, b, Rules.CONNECTED)
         res = verify_strategy(cfg, BreakerConnected, Role.BLOCKER)
-        assert res.verified, (n, b)
+        check_verification(res, Role.BLOCKER, verified, nodes)
 
 
 def test_verify_finds_counterexample_and_it_replays():
-    # maker-oc cannot win n=4 at b=1 (the game value is a blocker win), so
-    # exhaustive blocking must refute it with a transcript that replays
-    cfg = mb(4, 1, Rules.FREE)
-    res = verify_strategy(cfg, MakerOddCycle, Role.BUILDER)
-    assert not res.verified
-    assert res.counterexample is not None
-    redone = replay(res.counterexample)
-    assert redone.winner is Role.BLOCKER
+    # maker-oc cannot win n=4 at b=1 or n=5 at b=2 (the game value is a blocker
+    # win), so exhaustive blocking must refute it with a transcript that replays
+    for n, b, verified, nodes in ((4, 1, False, 6), (5, 1, True, 92), (5, 2, False, 8)):
+        res = verify_strategy(mb(n, b, Rules.FREE), MakerOddCycle, Role.BUILDER)
+        check_verification(res, Role.BUILDER, verified, nodes)
+
+
+def test_verify_restores_strategy_between_lines():
+    # a claim counter in the state key matches the board only when every line
+    # starts from the strategy state its position was reached with
+    class CountingMaker(MakerOddCycle):
+        claims = 0
+
+        def claim_edge(self, state):
+            self.claims += 1
+            return super().claim_edge(state)
+
+        def state_key(self):
+            return super().state_key(), self.claims
+
+        def snapshot(self):
+            return super().snapshot(), self.claims
+
+        def restore(self, snap):
+            super().restore(snap[0])
+            self.claims = snap[1]
+
+    res = verify_strategy(mb(5, 1), CountingMaker, Role.BUILDER)
+    check_verification(res, Role.BUILDER, True, 92)
+
+
+def test_verify_hooks_see_every_pinned_claim():
+    # hooks get the board right after each claim of the pinned side, winning
+    # claims included, although the walk itself needs no board after a win;
+    # the digests pin the boards, in order, that a walk copying the board for
+    # every claim showed the hooks
+    class Recorder(GameHook):
+        def __init__(self):
+            super().__init__()
+            self.seen = collections.Counter()
+            self.digest = hashlib.sha256()
+
+        def after_claim(self, state, move):
+            assert state.own[move.action.edge] == BUILDER
+            self.seen[state.status] += 1
+            self.digest.update(bytes(state.own) + bytes([move.s, move.k]))
+
+    for cfg, strategy, nodes, in_progress, won, digest in (
+            (cw(4, 0), ClientConnected, 38, 78, 54, "353722f04c0eb3d2"),
+            (mb(5, 1), MakerOddCycle, 92, 19, 54, "5a4b431d22f4d1e0")):
+        hook = Recorder()
+        res = verify_strategy(cfg, strategy, Role.BUILDER, hooks=(hook,))
+        check_verification(res, Role.BUILDER, True, nodes)
+        assert hook.seen == {Status.IN_PROGRESS: in_progress, Status.BUILDER_WIN: won}
+        assert hook.digest.hexdigest()[:16] == digest
 
 
 def test_verify_agrees_with_game_value():
-    # a verified strategy implies the game value favors that side
-    cfg = mb(5, 1, Rules.FREE)
-    res = verify_strategy(cfg, MakerOddCycle, Role.BUILDER)
-    if res.verified:
-        assert solve_game(cfg).winner is Role.BUILDER
+    # the exact oracle is verified on the side the game value favors and
+    # refuted on the other
+    for cfg, pins in ((mb(5, 2), {Role.BUILDER: 11, Role.BLOCKER: 473}),
+                      (cw(5, 0), {Role.BUILDER: 331, Role.BLOCKER: 5})):
+        winner = solve_game(cfg).winner
+        for side, nodes in pins.items():
+            res = verify_strategy(cfg, lambda: SolverOracle(side), side)
+            check_verification(res, side, side is winner, nodes)
+
+
+def test_verify_rejects_hidden_strategy_state():
+    # a strategy drawing from a random generator is refused outright
+    with pytest.raises(ValueError, match="random"):
+        verify_strategy(mb(5, 1), lambda: RandomMaker(random.Random(0)), Role.BUILDER)
+    # a refutation that the fresh rebuild does not lose is reported, not returned:
+    # only the instance the search uses forfeits when offered a closing edge
+    made = []
+
+    class ForfeitsFirstTime(ClientConnected):
+        def choose_from(self, state, offered):
+            if self is made[0] and any(state.closes_odd_cycle(e) for e in offered):
+                return Forfeit(), "client:forfeit"
+            return super().choose_from(state, offered)
+
+    def factory():
+        made.append(ForfeitsFirstTime())
+        return made[-1]
+
+    with pytest.raises(StateError, match="builder win"):
+        verify_strategy(cw(4, 0), factory, Role.BUILDER)
+
+
+def test_verify_holds_the_pinned_strategy_to_the_rules():
+    # as in a played game: a waiter offers or concedes, a client chooses from
+    # the offer, and every claim is legal, with or without hooks attached
+    class ClaimingWaiter(SolverOracle):
+        def make_offer(self, state):
+            return ClaimEdge(0), "waiter:claims"
+
+    class StrayClient(ClientConnected):
+        def choose_from(self, state, offered):
+            stray = [e for e in range(state.E) if state.own[e] == 0 and e not in offered]
+            return Choose(stray[0]), "client:stray"
+
+    class Reclaimer(MakerOddCycle):
+        def claim_edge(self, state):
+            taken = state.own.find(BLOCKER)
+            if taken >= 0:
+                return ClaimEdge(taken), "maker:reclaim"
+            return super().claim_edge(state)
+
+    for hooks in ((), (GameHook(),)):
+        with pytest.raises(RuleViolation, match="expected an offer"):
+            verify_strategy(cw(4, 0), lambda: ClaimingWaiter(Role.BLOCKER), Role.BLOCKER,
+                            hooks=hooks)
+        with pytest.raises(RuleViolation, match="outside the offer"):
+            verify_strategy(cw(4, 0), StrayClient, Role.BUILDER, hooks=hooks)
+        with pytest.raises(RuleViolation, match="already claimed"):
+            verify_strategy(mb(5, 1), Reclaimer, Role.BUILDER, hooks=hooks)
 
 
 def test_capacity_guards(monkeypatch):
@@ -323,3 +453,7 @@ def test_solver_memo_reuse_is_consistent():
     a = solve_game(mb(5, 2, Rules.CONNECTED)).winner
     b = solve_game(mb(5, 2, Rules.CONNECTED)).winner
     assert a is b
+    # nodes counts each call's own search; a cached answer costs none
+    _SOLVER_CACHE.pop((5, 1, Variant.MAKER_BREAKER, Rules.FREE), None)
+    assert solve_game(mb(5, 1)).nodes == 38
+    assert solve_game(mb(5, 1)).nodes == 0

@@ -10,9 +10,10 @@ from oddcycle.board import (
     Role,
     Rules,
     Status,
+    UNCLAIMED,
     Variant,
 )
-from oddcycle.engine import run_client_waiter, run_maker_breaker
+from oddcycle.engine import ClaimEdge, run_client_waiter, run_maker_breaker
 from oddcycle.errors import InvariantViolation
 from oddcycle.strategies import (
     BLOCKER_STRATEGIES,
@@ -267,6 +268,24 @@ def test_greedy_baselines_play_legal_games():
         t = run_client_waiter(cw(9, 2, Rules.CONNECTED, seed), GreedyWaiter(),
                               ClientConnected())
         assert t.winner in (Role.BUILDER, Role.BLOCKER)
+
+
+def test_greedy_breaker_takes_busiest_open_pair():
+    # with no same-part pair open, the pick is the open edge with the largest
+    # builder-degree sum, lowest id on ties, as a scan of every edge finds it
+    rng = random.Random(33)
+    checked = 0
+    for seed in range(30):
+        state = GameState(mb(rng.choice((6, 9, 14)), 2, Rules.FREE, seed))
+        while state.status is Status.IN_PROGRESS and state.unclaimed_count:
+            open_edges = [e for e in range(state.E) if state.own[e] == UNCLAIMED]
+            if not state.threat_edges:
+                deg = state.builder_deg
+                want = min(open_edges, key=lambda e: (-sum(deg[v] for v in state.pairs[e]), e))
+                assert GreedyBreaker().claim_edge(state, 1) == (ClaimEdge(want), "greedy:busy")
+                checked += 1
+            state.apply_claim(rng.choice((Role.BUILDER, Role.BLOCKER)), rng.choice(open_edges))
+    assert checked > 100
 
 
 def test_greedy_waiter_full_fans_shut_out_client():
