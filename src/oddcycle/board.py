@@ -204,6 +204,12 @@ class GameState:
     Vertex classes: part[v] is 1 or 2 for vertices of the builder's graph and
     0 for untouched vertices (the set R).  Column indexing for the blocker
     degree table is 0 -> V1, 1 -> V2, 2 -> R.
+
+    Every claim updates the counters in place.  A claim that leaves R walks
+    the rows of the vertices it promotes.  Under free rules a builder claim
+    may join two components whose labels agree across it; then the smaller
+    component (v's on a tie) changes parts and only the flipped vertices'
+    rows are walked (_flip_vertices), O(|component| * n) per merge.
     """
 
     def __init__(self, config: GameConfig):
@@ -249,9 +255,6 @@ class GameState:
     def endpoints(self, eid: int) -> tuple[int, int]:
         return self.pairs[eid]
 
-    def builder_vertices(self) -> set[int]:
-        return self.parts[0] | self.parts[1]
-
     def col(self, v: int) -> int:
         """Degree-table column of vertex v: 0 or 1 for its part, 2 for R."""
         p = self.part[v]
@@ -293,13 +296,16 @@ class GameState:
 
     # -- degree index maintenance ----------------------------------------
 
-    def _index_bump(self, v: int, i: int, old: int):
+    def _index_move(self, v: int, i: int, old: int, new: int):
+        """Move R vertex v from degree bucket old to new in column i."""
         idx = self.deg_index[i]
         idx[old].discard(v)
-        idx.setdefault(old + 1, set()).add(v)
-        if old + 1 > self.deg_max[i]:
-            self.deg_max[i] = old + 1
-        if old == self.deg_min[i] and not idx[old]:
+        idx.setdefault(new, set()).add(v)
+        if new > self.deg_max[i]:
+            self.deg_max[i] = new
+        if new < self.deg_min[i]:
+            self.deg_min[i] = new
+        if not idx[old] and (old == self.deg_min[i] or old == self.deg_max[i]):
             self._index_normalize(i)
 
     def _index_drop(self, v: int, i: int):
@@ -321,46 +327,6 @@ class GameState:
         while hi > lo and not idx.get(hi):
             hi -= 1
         self.deg_min[i], self.deg_max[i] = lo, hi
-
-    def _rebuild_part_counters(self):
-        """Recompute everything derived from part labels. Used after relabelling."""
-        n = self.n
-        for v in range(n):
-            self.deg_blk[v] = [0, 0, 0]
-        self.e_blk_vr = [0, 0]
-        self.e_blk_vv = 0
-        self.saved_not_blocker = 0
-        self.builder_cross_count = 0
-        self.threat_edges.clear()
-        for eid in range(self.E):
-            u, v = self.pairs[eid]
-            o = self.own[eid]
-            cu, cv = self.col(u), self.col(v)
-            if o == BLOCKER:
-                self.deg_blk[u][cv] += 1
-                self.deg_blk[v][cu] += 1
-                if cu < 2 and cv < 2:
-                    self.e_blk_vv += 1
-                elif cu < 2:
-                    self.e_blk_vr[cu] += 1
-                elif cv < 2:
-                    self.e_blk_vr[cv] += 1
-            else:
-                if cu < 2 and cv < 2 and cu != cv:
-                    self.saved_not_blocker += 1
-                    if o == BUILDER:
-                        self.builder_cross_count += 1
-                if o == UNCLAIMED and cu < 2 and cu == cv:
-                    self.threat_edges.add(eid)
-        self.deg_index = [{}, {}]
-        for i in (0, 1):
-            for v in self.r_set:
-                self.deg_index[i].setdefault(self.deg_blk[v][i], set()).add(v)
-            if self.r_set:
-                degs = [self.deg_blk[v][i] for v in self.r_set]
-                self.deg_min[i], self.deg_max[i] = min(degs), max(degs)
-            else:
-                self.deg_min[i] = self.deg_max[i] = 0
 
     # -- mutation ---------------------------------------------------------
 
@@ -391,7 +357,7 @@ class GameState:
                 dw[pi] += 1
                 if cw == 2:
                     if w in self.r_set:
-                        self._index_bump(w, pi, dw[pi] - 1)
+                        self._index_move(w, pi, dw[pi] - 1, dw[pi])
                     self.e_blk_vr[pi] += 1
                 else:
                     self.e_blk_vr[cw] -= 1
@@ -406,13 +372,67 @@ class GameState:
         self.parts[pi].add(y)
 
     def _flip_vertices(self, flips: list[int]):
-        """Relabel the given builder vertices into the opposite part."""
+        """Move a whole builder component into the opposite parts.
+
+        A builder claim that joins two components whose labels agree across
+        it flips the smaller one, so the claim becomes a cross edge.  Only
+        pairs at a flipped vertex w change class, so the counters are updated
+        from the flipped rows alone, O(|flips| * n): toward a vertex x outside
+        the flip, a blocker edge moves w's share of x's blocker degree to the
+        other part's column (and, for x in R, one count between the e_blk_vr
+        columns and x between degree buckets); any other edge to x in V turns
+        from a same-part pair into a cross pair or back, which moves it into
+        or out of the threat set and the cross-pair counts.  deg_blk[w] itself
+        is recounted from w's row.
+        """
+        part = self.part
         for w in flips:
-            p = self.part[w]
+            p = part[w]
             self.parts[p - 1].discard(w)
-            self.part[w] = 3 - p
+            part[w] = 3 - p
             self.parts[2 - p].add(w)
-        self._rebuild_part_counters()
+        flipped = set(flips)
+        own = self.own
+        deg_blk = self.deg_blk
+        e_blk_vr = self.e_blk_vr
+        threats = self.threat_edges
+        for w in flips:
+            ni = part[w] - 1  # w's new column; 1 - ni is its old one
+            oi = 1 - ni
+            row = self.eindex[w]
+            dw = [0, 0, 0]
+            for x in range(self.n):
+                if x == w:
+                    continue
+                e = row[x]
+                o = own[e]
+                px = part[x]
+                if o == BLOCKER:
+                    dw[px - 1 if px else 2] += 1
+                    if x in flipped:
+                        continue
+                    dx = deg_blk[x]
+                    dx[oi] -= 1
+                    dx[ni] += 1
+                    if not px:
+                        e_blk_vr[oi] -= 1
+                        e_blk_vr[ni] += 1
+                        self._index_move(x, oi, dx[oi] + 1, dx[oi])
+                        self._index_move(x, ni, dx[ni] - 1, dx[ni])
+                elif px and x not in flipped:
+                    if px - 1 == ni:  # a cross pair becomes a same-part pair
+                        self.saved_not_blocker -= 1
+                        if o == UNCLAIMED:
+                            threats.add(e)
+                        else:
+                            self.builder_cross_count -= 1
+                    else:
+                        self.saved_not_blocker += 1
+                        if o == UNCLAIMED:
+                            threats.discard(e)
+                        else:
+                            self.builder_cross_count += 1
+            deg_blk[w] = dw
 
     def check_claim(self, role: Role, eid: int):
         """Raise StateError when the game is over, and RuleViolation for a
@@ -468,10 +488,14 @@ class GameState:
                 else:
                     # joining two components; labels must disagree across eid
                     if pu == pv:
-                        comp_u = [w for w in range(self.n)
-                                  if self.part[w] and self.pf.find(w)[0] == ru]
-                        comp_v = [w for w in range(self.n)
-                                  if self.part[w] and self.pf.find(w)[0] == rv]
+                        comp_u, comp_v = [], []
+                        for w in range(self.n):
+                            if self.part[w]:
+                                r = self.pf.find(w)[0]
+                                if r == ru:
+                                    comp_u.append(w)
+                                elif r == rv:
+                                    comp_v.append(w)
                         self.pf.union(u, v)
                         self._flip_vertices(comp_v if len(comp_v) <= len(comp_u) else comp_u)
                     else:
@@ -484,12 +508,13 @@ class GameState:
             self.threat_edges.discard(eid)
             self.legal_incident.discard(eid)
             cu, cv = self.col(u), self.col(v)
-            self.deg_blk[u][cv] += 1
-            self.deg_blk[v][cu] += 1
+            du, dv = self.deg_blk[u], self.deg_blk[v]
+            du[cv] += 1
+            dv[cu] += 1
             if cu == 2 and cv < 2:
-                self._index_bump(u, cv, self.deg_blk[u][cv] - 1)
+                self._index_move(u, cv, du[cv] - 1, du[cv])
             if cv == 2 and cu < 2:
-                self._index_bump(v, cu, self.deg_blk[v][cu] - 1)
+                self._index_move(v, cu, dv[cu] - 1, dv[cu])
             if cu < 2 and cv < 2:
                 self.e_blk_vv += 1
                 if cu != cv:

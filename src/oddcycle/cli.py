@@ -30,6 +30,8 @@ from .optimizer import (
 )
 from .solver import ENV_OVERRIDE, exact_threshold, solve_game, verify_strategy
 from .strategies import (
+    BLOCKER_STRATEGIES,
+    BUILDER_STRATEGIES,
     BreakerLossHook,
     ClientCriticalHook,
     ClientTreeHook,
@@ -160,10 +162,14 @@ def _apply_capacity(spec: str | None):
 # -- strategies and hooks --------------------------------------------------------
 
 
-def _build_strategy(name: str, config: GameConfig, side: Role):
+def _build_strategy(name: str, config: GameConfig, side: Role, **kwargs):
+    names = (BUILDER_STRATEGIES if side is Role.BUILDER else BLOCKER_STRATEGIES)[config.variant]
+    if name not in names:
+        raise UsageError(f"{name!r} is not a {config.variant.value} {side.value} "
+                         f"strategy; choose from {', '.join(names)}")
     if name == "solver-oracle":
         return make_strategy(name, config, role=side)
-    return make_strategy(name, config)
+    return make_strategy(name, config, **kwargs)
 
 
 def _build_hooks(specs, assert_mode: bool, builder) -> list[GameHook]:
@@ -490,9 +496,7 @@ def cmd_verify(args) -> int:
         kwargs["lookahead"] = args.lookahead
 
     def factory():
-        if args.strategy == "solver-oracle":
-            return make_strategy(args.strategy, config, role=side)
-        return make_strategy(args.strategy, config, **kwargs)
+        return _build_strategy(args.strategy, config, side, **kwargs)
 
     result = verify_strategy(config, factory, side, node_cap=args.node_cap)
     label = (f"{args.strategy} as {side.value} on n={config.n} b={config.b} "
@@ -695,6 +699,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # --capacity holds for this command only
+    saved_capacity = os.environ.get(ENV_OVERRIDE)
     try:
         return args.func(args)
     except UsageError as exc:
@@ -709,6 +715,11 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    finally:
+        if saved_capacity is None:
+            os.environ.pop(ENV_OVERRIDE, None)
+        else:
+            os.environ[ENV_OVERRIDE] = saved_capacity
 
 
 if __name__ == "__main__":

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import itemgetter
 
 from .board import BLOCKER, UNCLAIMED, GameState, Reason, Role, Rules, Status, Variant
 from .engine import Choose, ClaimEdge, Forfeit, GameHook, Move, Offer, Transcript
@@ -376,32 +377,56 @@ class GreedyMaker(Strategy):
 
 class GreedyBreaker(Strategy):
     """Covers same-part pairs first, then blocks around the builder's
-    busiest vertices."""
+    busiest vertices: the unclaimed edge with the largest builder-degree sum,
+    lowest edge id on ties.
+
+    Builder degrees change only on builder claims, so the vertex order by
+    degree and, per vertex, its row of edge ids in that order are kept until
+    the degrees change.  They depend on the degrees alone, never on who owns
+    an edge, so they stay valid when a search restores an earlier position.
+    """
+
+    def __init__(self):
+        self._order = None  # (builder degrees, vertices by degree, rows by vertex)
+
+    def _row(self, state: GameState, x: int):
+        """x's partners in degree order, their edge ids, and a getter that
+        reads the ownership of those edges in one C-level pass."""
+        _, by_deg, rows = self._order
+        row = state.eindex[x]
+        ys = [y for y in by_deg if y != x]
+        eids = [row[y] for y in ys]
+        rows[x] = entry = (itemgetter(*eids), ys, eids)
+        return entry
 
     def claim_edge(self, state: GameState, claims_left: int):
         if state.threat_edges:
             return ClaimEdge(min(state.threat_edges)), "greedy:block"
         deg = state.builder_deg
-        by_deg = sorted(range(state.n), key=lambda v: -deg[v])  # stable: ties by v
-        top = deg[by_deg[0]]
-        xs = state.builder_vertices() | state.r_set
-        best = None  # (deg_x + deg_y descending, edge id ascending)
+        key = tuple(deg)
+        if self._order is None or self._order[0] != key:
+            by_deg = sorted(range(state.n), key=lambda v: -deg[v])  # stable: ties by v
+            self._order = (key, by_deg, {})
+        _, by_deg, rows = self._order
+        own = state.own
+        best = None  # (-(deg_x + deg_y), edge id)
         for x in by_deg:
-            if x not in xs:
-                continue
-            if best is not None and deg[x] + top < -best[0][0]:
-                break  # no pair at x or later reaches the current degree sum
-            row = state.eindex[x]
+            dx = deg[x]
+            if best is not None and (dx + dx < -best[0] or dx == 0):
+                # x's pairs with earlier vertices were weighed from their side,
+                # its pairs with later ones sum to at most 2 * dx, and between
+                # vertices of degree 0 ids rise with the lower endpoint
+                break
+            owners, ys, eids = rows.get(x) or self._row(state, x)
             # edge ids rise with y, so x's best pair is its first unclaimed
-            # partner in by_deg order
-            for y in by_deg:
-                if y != x and state.own[row[y]] == UNCLAIMED:
-                    key = (-(deg[x] + deg[y]), row[y])
-                    if best is None or key < best[0]:
-                        best = (key, row[y])
-                    break
-            if best is not None and deg[x] == 0:
-                break  # remaining vertices cannot beat the current pick
+            # partner in degree order
+            try:
+                j = owners(own).index(UNCLAIMED)
+            except ValueError:
+                continue  # every edge at x is claimed
+            cand = (-(dx + deg[ys[j]]), eids[j])
+            if best is None or cand < best:
+                best = cand
         if best is None:
             raise StateError("no unclaimed edge left for the blocker")
         return ClaimEdge(best[1]), "greedy:busy"

@@ -336,6 +336,49 @@ def test_merge_flips_smaller_component():
     assert state.part[0] == 1 and state.part[2] == 1 and state.part[1] == 2
 
 
+def test_merge_flips_match_naive_counters():
+    # free-rule random games, mostly blocker claims: after every merge that
+    # flips a component the incrementally updated counters equal a recount,
+    # and the flipped side is the smaller component (v's, the larger
+    # endpoint's, on a tie)
+    rng = random.Random(12)
+    merges = ties = 0
+    blocked_toward = set()  # classes of outside vertices the flipped rows blocked
+    for trial in range(24):
+        n = rng.randrange(20, 61)
+        state = GameState(GameConfig(n=n, b=1, rules=Rules.FREE))
+        order = list(range(state.E))
+        rng.shuffle(order)
+        for eid in order:
+            if state.status is not Status.IN_PROGRESS:
+                break
+            if rng.random() < 0.7 or state.closes_odd_cycle(eid):
+                state.apply_claim(Role.BLOCKER, eid)
+                continue
+            u, v = state.pairs[eid]
+            merge = (state.part[u] and state.part[u] == state.part[v]
+                     and not state.pf.connected(u, v))
+            if merge:
+                comp_u, comp_v = ({w for w in range(n) if state.part[w]
+                                   and state.pf.connected(w, x)} for x in (u, v))
+                before = state.part[:]
+            state.apply_claim(Role.BUILDER, eid)
+            if not merge:
+                continue
+            flipped = {w for w in range(n) if state.part[w] != before[w]}
+            assert flipped == (comp_v if len(comp_v) <= len(comp_u) else comp_u)
+            assert_counters_match(state)
+            merges += 1
+            ties += len(comp_u) == len(comp_v)
+            for w in flipped:
+                for x in range(n):
+                    if x not in flipped and state.own[state.eindex[w][x]] == BLOCKER:
+                        blocked_toward.add("V" if state.part[x] else "R")
+        assert_counters_match(state)
+    assert merges > 100 and ties > 0
+    assert blocked_toward == {"R", "V"}
+
+
 def test_saved_unclaimed_tracks_cross_pairs():
     rng = random.Random(11)
     for trial in range(100):

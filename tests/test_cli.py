@@ -47,6 +47,19 @@ def test_play_unknown_strategy_is_usage_error(capsys):
     assert "nosuch" in err
 
 
+def test_strategy_from_wrong_variant_or_side_is_usage_error(capsys):
+    for argv, name in ((["verify", "--strategy", "maker-oc", "--side", "blocker",
+                         "--n", "4", "--b", "1"], "maker-oc"),
+                       (["verify", "--strategy", "client-connected", "--side", "builder",
+                         "--n", "4", "--b", "1"], "client-connected"),
+                       (["play", "--n", "6", "--b", "2", "--builder", "client-connected"],
+                        "client-connected")):
+        code, _, err = run(argv, capsys)
+        assert code == 2, argv
+        assert f"{name!r} is not a maker-breaker" in err
+        assert "Traceback" not in err
+
+
 def test_play_needs_some_bias(capsys):
     code, _, err = run(["play", "--n", "6"], capsys)
     assert code == 2
@@ -290,3 +303,18 @@ def test_capacity_flag_and_exit_code(clean_env, capsys):
     os.environ.pop(ENV_OVERRIDE, None)
     code, _, _ = run(["solve", "--n", "4", "--b", "1"], capsys)
     assert code == 0
+
+
+def test_capacity_flag_is_scoped_to_the_command(clean_env, capsys):
+    code, _, _ = run(["solve", "--n", "4", "--b", "1", "--capacity", "mb_max_n=5"], capsys)
+    assert code == 0
+    assert ENV_OVERRIDE not in os.environ
+    os.environ[ENV_OVERRIDE] = "mb_max_n=8"
+    code, _, _ = run(["verify", "--strategy", "maker-oc", "--side", "builder",
+                      "--n", "5", "--b", "1", "--capacity", "verify_mb_max_n=6"], capsys)
+    assert code == 0
+    assert os.environ[ENV_OVERRIDE] == "mb_max_n=8"
+    # a command that fails on its capacity restores the variable too
+    code, _, _ = run(["solve", "--n", "6", "--b", "2", "--capacity", "mb_max_n=5"], capsys)
+    assert code == 2
+    assert os.environ[ENV_OVERRIDE] == "mb_max_n=8"

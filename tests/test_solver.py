@@ -42,6 +42,7 @@ from oddcycle.solver import (
 from oddcycle.strategies import (
     BreakerConnected,
     ClientConnected,
+    GreedyBreaker,
     MakerOddCycle,
     RandomBreaker,
     RandomClient,
@@ -297,6 +298,16 @@ def test_verify_breaker_connected_small():
                                   (6, 2, True, 11010)):
         cfg = mb(n, b, Rules.CONNECTED)
         res = verify_strategy(cfg, BreakerConnected, Role.BLOCKER)
+        check_verification(res, Role.BLOCKER, verified, nodes)
+
+
+def test_verify_greedy_breaker_small():
+    for n, b, rules, verified, nodes in ((4, 1, Rules.FREE, True, 67),
+                                         (5, 1, Rules.FREE, False, 16),
+                                         (5, 2, Rules.FREE, True, 781),
+                                         (6, 2, Rules.FREE, False, 243),
+                                         (5, 2, Rules.CONNECTED, True, 408)):
+        res = verify_strategy(mb(n, b, rules), GreedyBreaker, Role.BLOCKER)
         check_verification(res, Role.BLOCKER, verified, nodes)
 
 

@@ -288,6 +288,34 @@ def test_greedy_breaker_takes_busiest_open_pair():
     assert checked > 100
 
 
+def test_greedy_breaker_matches_brute_force_in_maker_oc_games():
+    # one breaker instance per full game, so its degree-order cache lives
+    # across claims; every busy pick is the max of (builder-degree sum,
+    # -edge id) over all unclaimed edges
+    class Checked(GreedyBreaker):
+        busy = 0
+
+        def claim_edge(self, state, claims_left):
+            action, branch = super().claim_edge(state, claims_left)
+            if branch == "greedy:busy":
+                deg = state.builder_deg
+                _, neg_eid = max((deg[u] + deg[v], -e) for e, (u, v) in enumerate(state.pairs)
+                                 if state.own[e] == UNCLAIMED)
+                assert action.edge == -neg_eid
+                Checked.busy += 1
+            return action, branch
+
+    winners = set()
+    for n, biases in ((40, (6, 12, 16, 20)), (100, (31, 46))):
+        for b in biases:
+            maker = MakerOddCycle()
+            t = run_maker_breaker(mb(n, b, Rules.FREE), maker, Checked(),
+                                  hooks=(MakerLossHook(maker, assert_mode=True),))
+            winners.add(t.winner)
+    assert winners == {Role.BUILDER, Role.BLOCKER}
+    assert Checked.busy > 3000
+
+
 def test_greedy_waiter_full_fans_shut_out_client():
     # while the bias lets every fan cover a whole neighbourhood, no same-part
     # pair ever goes unclaimed and the client can never win
