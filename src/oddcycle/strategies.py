@@ -389,16 +389,6 @@ class GreedyBreaker(Strategy):
     def __init__(self):
         self._order = None  # (builder degrees, vertices by degree, rows by vertex)
 
-    def _row(self, state: GameState, x: int):
-        """x's partners in degree order, their edge ids, and a getter that
-        reads the ownership of those edges in one C-level pass."""
-        _, by_deg, rows = self._order
-        row = state.eindex[x]
-        ys = [y for y in by_deg if y != x]
-        eids = [row[y] for y in ys]
-        rows[x] = entry = (itemgetter(*eids), ys, eids)
-        return entry
-
     def claim_edge(self, state: GameState, claims_left: int):
         if state.threat_edges:
             return ClaimEdge(min(state.threat_edges)), "greedy:block"
@@ -417,7 +407,15 @@ class GreedyBreaker(Strategy):
                 # its pairs with later ones sum to at most 2 * dx, and between
                 # vertices of degree 0 ids rise with the lower endpoint
                 break
-            owners, ys, eids = rows.get(x) or self._row(state, x)
+            entry = rows.get(x)
+            if entry is None:
+                # x's partners in degree order, their edge ids, and a getter
+                # that reads the owners of those edges in one C-level pass
+                row = state.eindex[x]
+                ys = [y for y in by_deg if y != x]
+                eids = [row[y] for y in ys]
+                entry = rows[x] = (itemgetter(*eids), ys, eids)
+            owners, ys, eids = entry
             # edge ids rise with y, so x's best pair is its first unclaimed
             # partner in degree order
             try:
