@@ -25,9 +25,7 @@ from .engine import (
     MetricsRecorder,
     Transcript,
     replay,
-    run_client_waiter,
     run_game,
-    run_maker_breaker,
 )
 from .errors import (
     CapacityError,

@@ -225,7 +225,6 @@ class GameState:
         self.r_set: set[int] = set(range(n))
         self.status = Status.IN_PROGRESS
         self.reason: Reason | None = None
-        self.round_s = 0
         self.turn_k = 0
         self.unclaimed_count = self.E
         self.builder_edge_count = 0
@@ -544,7 +543,6 @@ class GameState:
         other.r_set = set(self.r_set)
         other.status = self.status
         other.reason = self.reason
-        other.round_s = self.round_s
         other.turn_k = self.turn_k
         other.unclaimed_count = self.unclaimed_count
         other.builder_edge_count = self.builder_edge_count

@@ -14,7 +14,8 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from contextlib import nullcontext
+from dataclasses import asdict, dataclass, field, fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -120,9 +121,7 @@ class RunConfig:
         return self.seed + pairing_index * self.games + game_index
 
 
-_RUN_FIELDS = ("n", "b", "bias_frac", "round", "variant", "rules", "builders",
-               "blockers", "games", "seed", "assert_mode", "hooks", "jobs",
-               "capacity")
+_RUN_FIELDS = tuple(f.name for f in fields(RunConfig))
 
 
 def _load_run_config(args) -> RunConfig:
@@ -279,19 +278,6 @@ class TournamentReport:
         return [self.pairing, self.games, self.builder_wins, self.blocker_wins,
                 f"{self.mean_rounds:.4f}", self.violations]
 
-    def to_json_dict(self) -> dict:
-        return {
-            "pairing": self.pairing,
-            "games": self.games,
-            "builder_wins": self.builder_wins,
-            "blocker_wins": self.blocker_wins,
-            "mean_rounds": self.mean_rounds,
-            "violations": self.violations,
-            "reasons": self.reasons,
-            "metrics": self.metrics,
-            "messages": self.messages,
-        }
-
 
 CSV_HEADER = ["pairing", "games", "builder_wins", "blocker_wins",
               "mean_rounds", "violations"]
@@ -329,6 +315,12 @@ def _aggregate(pairing: str, results: list[dict]) -> TournamentReport:
     )
 
 
+def _report_stop(result: dict):
+    """Print the breach that stopped an assert-mode game, and its state."""
+    print(f"invariant violation: {result['violation_stop']}", file=sys.stderr)
+    print(f"state: {result['state']}", file=sys.stderr)
+
+
 def run_tournament(run: RunConfig, keep_transcripts: bool = False
                    ) -> tuple[list[TournamentReport], list[str], int]:
     """Play every pairing; returns (reports, transcript JSON lines, exit code)."""
@@ -355,8 +347,7 @@ def run_tournament(run: RunConfig, keep_transcripts: bool = False
         chunk = results[pi * run.games:(pi + 1) * run.games]
         for r in chunk:
             if "violation_stop" in r:
-                print(f"invariant violation: {r['violation_stop']}", file=sys.stderr)
-                print(f"state: {r['state']}", file=sys.stderr)
+                _report_stop(r)
                 return reports, transcripts, 1
             if keep_transcripts:
                 transcripts.append(r["transcript"])
@@ -365,14 +356,9 @@ def run_tournament(run: RunConfig, keep_transcripts: bool = False
 
 
 def _write_csv(reports: list[TournamentReport], out_path: str | None):
-    if out_path:
-        with open(out_path, "w", newline="") as fh:
-            writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(CSV_HEADER)
-            for rep in reports:
-                writer.writerow(rep.csv_row())
-    else:
-        writer = csv.writer(sys.stdout, lineterminator="\n")
+    out = open(out_path, "w", newline="") if out_path else nullcontext(sys.stdout)
+    with out as fh:
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_HEADER)
         for rep in reports:
             writer.writerow(rep.csv_row())
@@ -400,8 +386,7 @@ def cmd_play(args) -> int:
     }
     result = _play_one(payload)
     if "violation_stop" in result:
-        print(f"invariant violation: {result['violation_stop']}", file=sys.stderr)
-        print(f"state: {result['state']}", file=sys.stderr)
+        _report_stop(result)
         return 1
     if args.out:
         Path(args.out).write_text(result["transcript"])
@@ -428,7 +413,7 @@ def cmd_tournament(args) -> int:
             (outdir / f"game-{i:05d}.json").write_text(text)
     _write_csv(reports, args.csv)
     if args.json:
-        _dump_json([rep.to_json_dict() for rep in reports], args.json)
+        _dump_json([asdict(rep) for rep in reports], args.json)
     return 0
 
 

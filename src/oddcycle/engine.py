@@ -1,8 +1,10 @@
-"""Game runners, transcripts and invariant hooks.
+"""The game loop, its turn rules, transcripts and invariant hooks.
 
-Both runners drive a GameState move by move, asking strategy objects for
+run_game drives a GameState move by move, asking strategy objects for
 actions and recording everything into a Transcript that can be serialized to
-canonical JSON and replayed bit-for-bit later.
+canonical JSON and replayed bit-for-bit later.  The turn rules are written
+once, in round_start_result and decide, which the exhaustive verifier in
+solver.py walks as well.
 
 Maker-Breaker: the builder claims one edge per round, then the blocker claims
 min(b, remaining) edges one at a time.  Client-Waiter (monotone): the blocker
@@ -18,6 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .board import (
     GameConfig,
@@ -149,7 +152,15 @@ class Transcript:
 
 
 class GameHook:
-    """Observer attached to a runner.
+    """Observer attached to run_game.
+
+    after_claim(state, move) runs after each claim or choice is applied, and
+    not for the offer-mates a Waiter receives.  after_round(state, s) runs
+    after each round with a claim in it: every finished round, a round ended
+    by a winning claim and one ended by a Breaker's forfeit, but not one
+    ended by a forfeit of the Maker, the Waiter or the Client.
+    on_result(state, transcript) runs once at the end.  The verifier also
+    shows a forfeit of the strategy it checks to after_claim.
 
     In observe mode violations are collected in .violations; in assert mode
     the first violation raises InvariantViolation.
@@ -251,14 +262,80 @@ def validate_offer(state: GameState, edges) -> tuple[int, ...]:
     return offer
 
 
-# -- runners -------------------------------------------------------------------
+# -- turn rules ----------------------------------------------------------------
 
 
-def _decision(raw):
-    """Strategies may return an Action or an (Action, branch) pair."""
-    if isinstance(raw, tuple):
-        return raw
-    return raw, None
+class Seat(NamedTuple):
+    """One side's part in one variant: its role, its name in messages, the
+    strategy method it is asked through and the action it must answer with."""
+
+    role: Role
+    name: str
+    method: str
+    kind: type
+    wants: str
+
+
+# the seat of each role in each variant; look one up once per game or walk,
+# since hashing an Enum runs in Python
+SEATS = {
+    Variant.MAKER_BREAKER: {
+        Role.BUILDER: Seat(Role.BUILDER, "builder", "claim_edge", ClaimEdge, "a claim"),
+        Role.BLOCKER: Seat(Role.BLOCKER, "blocker", "claim_edge", ClaimEdge, "a claim"),
+    },
+    Variant.CLIENT_WAITER: {
+        Role.BUILDER: Seat(Role.BUILDER, "client", "choose_from", Choose, "a choice"),
+        Role.BLOCKER: Seat(Role.BLOCKER, "waiter", "make_offer", Offer, "an offer"),
+    },
+}
+
+_FORFEIT_RESULT = {
+    Role.BUILDER: (Status.BLOCKER_WIN, Reason.BUILDER_FORFEIT),
+    Role.BLOCKER: (Status.BUILDER_WIN, Reason.BLOCKER_FORFEIT),
+}
+
+
+def round_start_result(state: GameState):
+    """The (status, reason) the game ends with before the next round starts,
+    or None when the round is played: an exhausted board first, then no legal
+    Maker move or no offerable edge."""
+    if state.unclaimed_count == 0:
+        return Status.BLOCKER_WIN, Reason.BOARD_EXHAUSTED
+    if state.config.variant is Variant.MAKER_BREAKER:
+        if not state.has_legal_builder_move():
+            return Status.BLOCKER_WIN, Reason.NO_LEGAL_BUILDER_MOVE
+    elif not offerable_edges(state):
+        return Status.BUILDER_WIN, Reason.NO_OFFERABLE_EDGES
+    return None
+
+
+def decide(seat: Seat, ask, state: GameState, arg=None):
+    """Ask a strategy for its move in seat and hold the answer to the turn rules.
+
+    ask is the strategy's method for the seat, getattr(player, seat.method),
+    looked up once per game or walk rather than once per decision.  arg is
+    the claims left in a Breaker turn or the offer a Client chooses from, and
+    None for the Maker and the Waiter.  A strategy answers with an action or
+    an (action, branch) pair.  Returns (action, branch), an offer validated
+    and as a tuple.  A Forfeit passes; any other action of the wrong type, an
+    invalid offer or a choice outside the offer raises RuleViolation.  A
+    claim is checked when it is applied.
+    """
+    raw = ask(state) if arg is None else ask(state, arg)
+    action, branch = raw if isinstance(raw, tuple) else (raw, None)
+    kind = seat.kind
+    if not isinstance(action, kind):
+        if isinstance(action, Forfeit):
+            return action, branch
+        raise RuleViolation(f"{seat.name} returned {action!r}, expected {seat.wants}")
+    if kind is Offer:
+        action = Offer(validate_offer(state, action.edges))
+    elif kind is Choose and action.edge not in arg:
+        raise RuleViolation(f"client chose edge {action.edge} outside the offer")
+    return action, branch
+
+
+# -- the game loop ---------------------------------------------------------------
 
 
 def _start(strategy, state):
@@ -267,148 +344,79 @@ def _start(strategy, state):
         start(state)
 
 
-def _finish(state, moves, hooks) -> Transcript:
-    if state.status is Status.BUILDER_WIN:
-        winner = Role.BUILDER
-    else:
-        winner = Role.BLOCKER
-    t = Transcript(config=state.config, moves=moves, winner=winner,
+def _play(seat, ask, state, arg, s, moves, hooks):
+    """One decision, recorded: a claim or a choice is applied and shown to
+    the hooks, and a forfeit ends the game.  Returns the action, or None on
+    a forfeit."""
+    action, branch = decide(seat, ask, state, arg)
+    k = state.turn_k = len(moves)
+    move = Move(s, k, seat.role, action, branch)
+    moves.append(move)
+    if isinstance(action, Forfeit):
+        state.set_result(*_FORFEIT_RESULT[seat.role])
+        return None
+    if seat.kind is not Offer:
+        state.apply_claim(seat.role, action.edge)
+        for h in hooks:
+            h.after_claim(state, move)
+    return action
+
+
+def run_game(config: GameConfig, builder, blocker, hooks=()) -> Transcript:
+    """Play one game to the end and return its transcript.
+
+    builder is the Maker or the Client, blocker the Breaker or the Waiter.
+    The offer-mates of a choice that ends the game stay unclaimed.
+    """
+    seats = SEATS[config.variant]
+    maker_breaker = config.variant is Variant.MAKER_BREAKER
+    bseat, kseat = seats[Role.BUILDER], seats[Role.BLOCKER]
+    state = GameState(config)
+    _start(builder, state)
+    _start(blocker, state)
+    bask, kask = getattr(builder, bseat.method), getattr(blocker, kseat.method)
+    moves: list[Move] = []
+    s = 0
+    while state.status is Status.IN_PROGRESS:
+        end = round_start_result(state)
+        if end is not None:
+            state.set_result(*end)
+            break
+        s += 1
+        if maker_breaker:
+            if _play(bseat, bask, state, None, s, moves, hooks) is None:
+                break
+            if state.status is Status.IN_PROGRESS:
+                claims = min(config.b, state.unclaimed_count)
+                for j in range(claims):
+                    if _play(kseat, kask, state, claims - j, s, moves, hooks) is None:
+                        break
+        else:
+            offer = _play(kseat, kask, state, None, s, moves, hooks)
+            if offer is None:
+                break
+            pick = _play(bseat, bask, state, offer.edges, s, moves, hooks)
+            if pick is None:
+                break
+            if state.status is Status.IN_PROGRESS:
+                for e in offer.edges:
+                    if e != pick.edge:
+                        state.apply_claim(Role.BLOCKER, e)
+        for h in hooks:
+            h.after_round(state, s)
+    winner = Role.BUILDER if state.status is Status.BUILDER_WIN else Role.BLOCKER
+    t = Transcript(config=config, moves=moves, winner=winner,
                    reason=state.reason, digest=state.digest())
     for h in hooks:
         h.on_result(state, t)
     return t
 
 
-def run_maker_breaker(config: GameConfig, builder, blocker, hooks=()) -> Transcript:
-    """Play one Maker-Breaker game to the end and return its transcript."""
-    if config.variant is not Variant.MAKER_BREAKER:
-        raise StateError("config is not a Maker-Breaker game")
-    state = GameState(config)
-    _start(builder, state)
-    _start(blocker, state)
-    moves: list[Move] = []
-    k = 0
-    s = 0
-    while state.status is Status.IN_PROGRESS:
-        if state.unclaimed_count == 0:
-            state.set_result(Status.BLOCKER_WIN, Reason.BOARD_EXHAUSTED)
-            break
-        if not state.has_legal_builder_move():
-            state.set_result(Status.BLOCKER_WIN, Reason.NO_LEGAL_BUILDER_MOVE)
-            break
-        s += 1
-        state.round_s = s
-        action, branch = _decision(builder.claim_edge(state))
-        state.turn_k = k
-        move = Move(s, k, Role.BUILDER, action, branch)
-        k += 1
-        moves.append(move)
-        if isinstance(action, Forfeit):
-            state.set_result(Status.BLOCKER_WIN, Reason.BUILDER_FORFEIT)
-            break
-        if not isinstance(action, ClaimEdge):
-            raise RuleViolation(f"builder returned {action!r}, expected a claim")
-        state.apply_claim(Role.BUILDER, action.edge)
-        for h in hooks:
-            h.after_claim(state, move)
-        if state.status is not Status.IN_PROGRESS:
-            for h in hooks:
-                h.after_round(state, s)
-            break
-        claims = min(config.b, state.unclaimed_count)
-        stop = False
-        for j in range(claims):
-            action, branch = _decision(blocker.claim_edge(state, claims - j))
-            state.turn_k = k
-            move = Move(s, k, Role.BLOCKER, action, branch)
-            k += 1
-            moves.append(move)
-            if isinstance(action, Forfeit):
-                state.set_result(Status.BUILDER_WIN, Reason.BLOCKER_FORFEIT)
-                stop = True
-                break
-            if not isinstance(action, ClaimEdge):
-                raise RuleViolation(f"blocker returned {action!r}, expected a claim")
-            state.apply_claim(Role.BLOCKER, action.edge)
-            for h in hooks:
-                h.after_claim(state, move)
-        for h in hooks:
-            h.after_round(state, s)
-        if stop:
-            break
-    return _finish(state, moves, hooks)
-
-
-def run_client_waiter(config: GameConfig, waiter, client, hooks=()) -> Transcript:
-    """Play one monotone Client-Waiter game to the end and return its transcript."""
-    if config.variant is not Variant.CLIENT_WAITER:
-        raise StateError("config is not a Client-Waiter game")
-    state = GameState(config)
-    _start(waiter, state)
-    _start(client, state)
-    moves: list[Move] = []
-    k = 0
-    s = 0
-    while state.status is Status.IN_PROGRESS:
-        if state.unclaimed_count == 0:
-            state.set_result(Status.BLOCKER_WIN, Reason.BOARD_EXHAUSTED)
-            break
-        if not offerable_edges(state):
-            state.set_result(Status.BUILDER_WIN, Reason.NO_OFFERABLE_EDGES)
-            break
-        s += 1
-        state.round_s = s
-        action, branch = _decision(waiter.make_offer(state))
-        state.turn_k = k
-        move = Move(s, k, Role.BLOCKER, action, branch)
-        k += 1
-        moves.append(move)
-        if isinstance(action, Forfeit):
-            state.set_result(Status.BUILDER_WIN, Reason.BLOCKER_FORFEIT)
-            break
-        if not isinstance(action, Offer):
-            raise RuleViolation(f"waiter returned {action!r}, expected an offer")
-        offer = validate_offer(state, action.edges)
-        action, branch = _decision(client.choose_from(state, offer))
-        state.turn_k = k
-        move = Move(s, k, Role.BUILDER, action, branch)
-        k += 1
-        moves.append(move)
-        if isinstance(action, Forfeit):
-            state.set_result(Status.BLOCKER_WIN, Reason.BUILDER_FORFEIT)
-            break
-        if not isinstance(action, Choose):
-            raise RuleViolation(f"client returned {action!r}, expected a choice")
-        if action.edge not in offer:
-            raise RuleViolation(f"client chose edge {action.edge} outside the offer")
-        state.apply_claim(Role.BUILDER, action.edge)
-        for h in hooks:
-            h.after_claim(state, move)
-        if state.status is not Status.IN_PROGRESS:
-            # game over on the client's claim; leftover offered edges stay open
-            for h in hooks:
-                h.after_round(state, s)
-            break
-        for e in offer:
-            if e != action.edge:
-                state.apply_claim(Role.BLOCKER, e)
-        for h in hooks:
-            h.after_round(state, s)
-    return _finish(state, moves, hooks)
-
-
-def run_game(config: GameConfig, builder, blocker, hooks=()) -> Transcript:
-    """Dispatch on the variant. builder/blocker are the odd-cycle/blocking sides."""
-    if config.variant is Variant.MAKER_BREAKER:
-        return run_maker_breaker(config, builder, blocker, hooks)
-    return run_client_waiter(config, blocker, builder, hooks)
-
-
 # -- replay --------------------------------------------------------------------
 
 
 class _ScriptedPlayer:
-    """Feeds recorded actions back into a runner, for transcript validation."""
+    """Feeds recorded actions back into run_game, for transcript validation."""
 
     def __init__(self, moves: list[Move], role: Role):
         self.queue = [m for m in moves if m.role is role]
@@ -441,10 +449,7 @@ def replay(transcript: Transcript, hooks=()) -> Transcript:
     builder = _ScriptedPlayer(transcript.moves, Role.BUILDER)
     blocker = _ScriptedPlayer(transcript.moves, Role.BLOCKER)
     try:
-        if cfg.variant is Variant.MAKER_BREAKER:
-            redone = run_maker_breaker(cfg, builder, blocker, hooks)
-        else:
-            redone = run_client_waiter(cfg, blocker, builder, hooks)
+        redone = run_game(cfg, builder, blocker, hooks)
     except (RuleViolation, StateError) as exc:
         raise CorruptionError(f"transcript move rejected by the engine: {exc}") from exc
     if redone.digest != transcript.digest:

@@ -29,24 +29,27 @@ from .board import (
     GameState,
     Role,
     Rules,
+    Status,
     Variant,
     edge_count,
 )
 from .engine import (
+    SEATS,
     Choose,
     ClaimEdge,
     Forfeit,
     Move,
     Offer,
     Transcript,
-    _decision,
     _ScriptedPlayer,
     _start,
-    offerable_edges,
+    decide,
+    round_start_result,
     run_game,
-    validate_offer,
 )
-from .errors import CapacityError, RuleViolation, StateError
+# not called here, but bound: perfbench's tracer patches them in this module too
+from .engine import offerable_edges, validate_offer  # noqa: F401
+from .errors import CapacityError, StateError
 
 DEFAULT_CAPACITY = {
     "mb_max_n": 6,
@@ -499,6 +502,9 @@ class _Verifier:
         self.t = _tables(config.n)
         self.strategy = strategy
         self.side = side
+        self.seat = SEATS[config.variant][side]
+        self.ask = getattr(strategy, self.seat.method)
+        self.win = Status.BUILDER_WIN if side is Role.BUILDER else Status.BLOCKER_WIN
         self.hooks = hooks
         self.node_cap = node_cap
         self.nodes = 0
@@ -526,14 +532,9 @@ class _Verifier:
         if state.unclaimed_count == 0:
             claims_left = 0
         if claims_left == 0:
-            if state.unclaimed_count == 0:
-                winner = Role.BLOCKER
-            elif self.mb:
-                winner = None if state.has_legal_builder_move() else Role.BLOCKER
-            else:
-                winner = None if offerable_edges(state) else Role.BUILDER
-            if winner is not None:
-                return winner is self.side or self.fail()
+            end = round_start_result(state)
+            if end is not None:
+                return end[0] is self.win or self.fail()
         key = (bytes(state.own), claims_left, self.strategy.state_key())
         hit = self.memo.get(key)
         if hit is not None:
@@ -563,12 +564,7 @@ class _Verifier:
         """The waiter's offers, each followed by the client's choice."""
         if self.side is Role.BLOCKER:
             snap = self.strategy.snapshot()
-            action, branch = _decision(self.strategy.make_offer(state))
-            if isinstance(action, Offer):
-                action = Offer(validate_offer(state, action.edges))
-            elif not isinstance(action, Forfeit):
-                raise RuleViolation(f"waiter returned {action!r}, expected an offer")
-            lines = [(action, branch)]
+            lines = [decide(self.seat, self.ask, state)]
         else:
             cli, wtr = _masks(state)
             unclaimed = self.t.full & ~(cli | wtr)
@@ -593,13 +589,8 @@ class _Verifier:
         side's decision, or every legal claim of the opponent."""
         if role is self.side:
             snap = self.strategy.snapshot()
-            if not self.mb:
-                raw = self.strategy.choose_from(state, offer)
-            elif role is Role.BUILDER:
-                raw = self.strategy.claim_edge(state)
-            else:
-                raw = self.strategy.claim_edge(state, claims_left)
-            action, branch = _decision(raw)
+            # a client is asked with its offer, a breaker with its claims left
+            action, branch = decide(self.seat, self.ask, state, offer or claims_left or None)
             ok = self.settle(state, claims_left, s, role, offer, action, branch)
             self.strategy.restore(snap)
             return ok
@@ -624,8 +615,6 @@ class _Verifier:
             ok = self.fail()
         else:
             e = action.edge
-            if role is self.side and offer and e not in offer:
-                raise RuleViolation(f"client chose edge {e} outside the offer")
             won = self.wins.get(e)
             if won is None:
                 # the opponent's claims are legal by construction; the

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 from pathlib import Path
@@ -18,6 +19,7 @@ from oddcycle.engine import (
     ClaimEdge,
     Choose,
     Forfeit,
+    GameHook,
     MetricsRecorder,
     Move,
     Offer,
@@ -25,9 +27,7 @@ from oddcycle.engine import (
     offerable_edges,
     parse_action,
     replay,
-    run_client_waiter,
     run_game,
-    run_maker_breaker,
     validate_offer,
 )
 from oddcycle.errors import CorruptionError, RuleViolation
@@ -69,7 +69,7 @@ def test_move_json_round_trip():
 def test_transcript_json_round_trip_and_version_gate():
     rng = random.Random(11)
     cfg = mb_config(n=5, b=1, seed=3)
-    t = run_maker_breaker(cfg, RandomMaker(rng), RandomBreaker(rng))
+    t = run_game(cfg, RandomMaker(rng), RandomBreaker(rng))
     text = t.to_json()
     assert text.endswith("\n")
     back = Transcript.from_json(text)
@@ -86,7 +86,7 @@ def test_mb_runner_result_fields():
     rng = random.Random(5)
     for seed in range(30):
         cfg = mb_config(n=6, b=2, rules=Rules.FREE, seed=seed)
-        t = run_maker_breaker(cfg, RandomMaker(rng), RandomBreaker(rng))
+        t = run_game(cfg, RandomMaker(rng), RandomBreaker(rng))
         assert t.winner in (Role.BUILDER, Role.BLOCKER)
         if t.winner is Role.BUILDER:
             assert t.reason is Reason.ODD_CYCLE_CLOSED
@@ -106,7 +106,7 @@ def test_mb_exhaustion_needs_claims():
     # with b large the blocker drains the board in round one
     cfg = mb_config(n=4, b=edge_count(4), rules=Rules.FREE)
     rng = random.Random(0)
-    t = run_maker_breaker(cfg, RandomMaker(rng), RandomBreaker(rng))
+    t = run_game(cfg, RandomMaker(rng), RandomBreaker(rng))
     assert t.winner is Role.BLOCKER
     assert t.reason is Reason.BOARD_EXHAUSTED
     claimed = sum(1 for m in t.moves if isinstance(m.action, ClaimEdge))
@@ -117,7 +117,7 @@ def test_cw_runner_round_shape():
     rng = random.Random(6)
     for seed in range(30):
         cfg = cw_config(n=6, b=2, seed=seed)
-        t = run_client_waiter(cfg, RandomWaiter(rng), RandomClient(rng))
+        t = run_game(cfg, RandomClient(rng), RandomWaiter(rng))
         assert t.winner in (Role.BUILDER, Role.BLOCKER)
         offers = [m for m in t.moves if isinstance(m.action, Offer)]
         picks = [m for m in t.moves if isinstance(m.action, Choose)]
@@ -132,7 +132,7 @@ def test_cw_exhaustion_beats_no_offer():
     # offerable either; the exhaustion check comes first
     cfg = cw_config(n=4, b=5, rules=Rules.FREE)
     rng = random.Random(2)
-    t = run_client_waiter(cfg, RandomWaiter(rng), RandomClient(rng))
+    t = run_game(cfg, RandomClient(rng), RandomWaiter(rng))
     if t.winner is Role.BLOCKER:
         assert t.reason is Reason.BOARD_EXHAUSTED
 
@@ -187,7 +187,7 @@ def test_validate_offer_rejections():
 def test_offer_size_respects_bias_plus_one():
     rng = random.Random(9)
     cfg = cw_config(n=7, b=0, rules=Rules.FREE)
-    t = run_client_waiter(cfg, RandomWaiter(rng), RandomClient(rng))
+    t = run_game(cfg, RandomClient(rng), RandomWaiter(rng))
     for m in t.moves:
         if isinstance(m.action, Offer):
             assert len(m.action.edges) == 1
@@ -200,20 +200,20 @@ def test_replay_matches_and_detects_corruption():
     rng = random.Random(21)
     for seed in range(12):
         for make in (
-            lambda: run_maker_breaker(mb_config(n=6, b=2, seed=seed),
-                                      RandomMaker(rng), RandomBreaker(rng)),
-            lambda: run_maker_breaker(mb_config(n=6, b=2, rules=Rules.CONNECTED,
+            lambda: run_game(mb_config(n=6, b=2, seed=seed),
+                             RandomMaker(rng), RandomBreaker(rng)),
+            lambda: run_game(mb_config(n=6, b=2, rules=Rules.CONNECTED,
                                                 seed=seed),
-                                      RandomMaker(rng), RandomBreaker(rng)),
-            lambda: run_client_waiter(cw_config(n=6, b=2, seed=seed),
-                                      RandomWaiter(rng), RandomClient(rng)),
+                             RandomMaker(rng), RandomBreaker(rng)),
+            lambda: run_game(cw_config(n=6, b=2, seed=seed),
+                             RandomClient(rng), RandomWaiter(rng)),
         ):
             t = make()
             redone = replay(t)
             assert redone.digest == t.digest
 
-    t = run_maker_breaker(mb_config(n=6, b=2, seed=99), RandomMaker(rng),
-                          RandomBreaker(rng))
+    t = run_game(mb_config(n=6, b=2, seed=99), RandomMaker(rng),
+                 RandomBreaker(rng))
     # tamper with the digest
     bad = Transcript(config=t.config, moves=t.moves, winner=t.winner,
                      reason=t.reason, digest="0" * 64)
@@ -235,7 +235,7 @@ def test_replay_matches_and_detects_corruption():
 def test_replay_rejects_illegal_move():
     cfg = mb_config(n=5, b=1, rules=Rules.CONNECTED, seed=4)
     rng = random.Random(4)
-    t = run_maker_breaker(cfg, RandomMaker(rng), RandomBreaker(rng))
+    t = run_game(cfg, RandomMaker(rng), RandomBreaker(rng))
     # rewrite the second builder claim to a non-incident edge if possible
     moves = list(t.moves)
     builder_idx = [i for i, m in enumerate(moves) if m.role is Role.BUILDER]
@@ -269,7 +269,7 @@ def test_metrics_recorder_rounds():
     rng = random.Random(13)
     cfg = mb_config(n=7, b=2, seed=13)
     rec = MetricsRecorder()
-    t = run_maker_breaker(cfg, RandomMaker(rng), RandomBreaker(rng), hooks=(rec,))
+    t = run_game(cfg, RandomMaker(rng), RandomBreaker(rng), hooks=(rec,))
     assert len(rec.snapshots) == t.rounds
     for snap in rec.snapshots:
         assert snap.r_size >= 0
@@ -290,14 +290,146 @@ def test_forfeiting_strategies_lose():
             return Forfeit(), "test"
 
     rng = random.Random(1)
-    t = run_maker_breaker(mb_config(n=5, b=1), GiveUp(), RandomBreaker(rng))
+    t = run_game(mb_config(n=5, b=1), GiveUp(), RandomBreaker(rng))
     assert t.winner is Role.BLOCKER and t.reason is Reason.BUILDER_FORFEIT
-    t = run_maker_breaker(mb_config(n=5, b=1), RandomMaker(rng), GiveUp())
+    t = run_game(mb_config(n=5, b=1), RandomMaker(rng), GiveUp())
     assert t.winner is Role.BUILDER and t.reason is Reason.BLOCKER_FORFEIT
-    t = run_client_waiter(cw_config(n=5, b=1), GiveUp(), RandomClient(rng))
+    t = run_game(cw_config(n=5, b=1), RandomClient(rng), GiveUp())
     assert t.winner is Role.BUILDER and t.reason is Reason.BLOCKER_FORFEIT
-    t = run_client_waiter(cw_config(n=5, b=1), GreedyWaiter(), GiveUp())
+    t = run_game(cw_config(n=5, b=1), GiveUp(), GreedyWaiter())
     assert t.winner is Role.BLOCKER and t.reason is Reason.BUILDER_FORFEIT
+
+
+class _CallLog(GameHook):
+    """Records every hook call as (method, s, k, role, branch, board digest)."""
+
+    def __init__(self):
+        super().__init__()
+        self.calls = []
+
+    def after_claim(self, state, move):
+        self.calls.append(("after_claim", move.s, move.k, move.role.value, move.branch,
+                           state.digest()))
+
+    def after_round(self, state, s):
+        self.calls.append(("after_round", s, state.turn_k, None, None, state.digest()))
+
+    def on_result(self, state, transcript):
+        self.calls.append(("on_result", transcript.rounds, len(transcript.moves),
+                           transcript.winner.value, transcript.reason.value, state.digest()))
+
+
+def _contract_calls(t):
+    """The hook calls GameHook's contract promises for the game in t: after_claim
+    for each claim, not for a waiter's offer-mates; after_round for each round
+    with a claim in it; on_result once."""
+    state = GameState(t.config)
+    calls = []
+    for s in range(1, t.rounds + 1):
+        moves = [m for m in t.moves if m.s == s]
+        claimed = False
+        for m in moves:
+            if isinstance(m.action, (ClaimEdge, Choose)):
+                state.apply_claim(m.role, m.action.edge)
+                calls.append(("after_claim", s, m.k, m.role.value, m.branch, state.digest()))
+                claimed = True
+        offer, pick = moves[0].action, moves[-1].action
+        if (isinstance(offer, Offer) and isinstance(pick, Choose)
+                and state.status is Status.IN_PROGRESS):
+            for e in offer.edges:
+                if e != pick.edge:
+                    state.apply_claim(Role.BLOCKER, e)
+        if claimed:
+            calls.append(("after_round", s, moves[-1].k, None, None, state.digest()))
+    calls.append(("on_result", t.rounds, len(t.moves), t.winner.value, t.reason.value,
+                  state.digest()))
+    return calls
+
+
+class _Quitter:
+    """Plays strategy's moves and forfeits at its decision number quit_at."""
+
+    def __init__(self, strategy, quit_at):
+        self.strategy = strategy
+        self.quit_at = quit_at
+        self.asked = 0
+
+    def _ask(self, method, *args):
+        self.asked += 1
+        if self.asked == self.quit_at:
+            return Forfeit(), "quit"
+        return getattr(self.strategy, method)(*args)
+
+    def claim_edge(self, state, *claims_left):
+        return self._ask("claim_edge", state, *claims_left)
+
+    def make_offer(self, state):
+        return self._ask("make_offer", state)
+
+    def choose_from(self, state, offered):
+        return self._ask("choose_from", state, offered)
+
+
+class _Script:
+    """Answers each decision with the next action of a fixed list."""
+
+    def __init__(self, actions):
+        self.actions = iter(actions)
+
+    def claim_edge(self, state, claims_left=None):
+        return next(self.actions)
+
+    def make_offer(self, state):
+        return next(self.actions)
+
+    def choose_from(self, state, offered):
+        return next(self.actions)
+
+
+def test_hook_call_sequence_is_pinned():
+    # every ending, in both variants and under both rules; the log is compared
+    # with the contract and, as a whole, with a digest of the calls as made
+    # when this test was written
+    def mbg(n, b, rules, seed, maker_quit=0, breaker_quit=0):
+        rng = random.Random(seed)
+        return (mb_config(n, b, rules, seed), _Quitter(RandomMaker(rng), maker_quit),
+                _Quitter(RandomBreaker(rng), breaker_quit))
+
+    def cwg(n, b, rules, seed, client_quit=0, waiter_quit=0):
+        rng = random.Random(seed)
+        return (cw_config(n, b, rules, seed), _Quitter(RandomClient(rng), client_quit),
+                _Quitter(RandomWaiter(rng), waiter_quit))
+
+    e = GameState(cw_config(n=6)).eindex
+    closed = [Offer((e[0][1],)), Offer((e[1][2],)), Offer((e[2][3],)),
+              Offer(tuple(sorted((e[0][2], e[0][3], e[0][4], e[0][5], e[1][3], e[1][4],
+                                  e[1][5], e[2][4], e[2][5], e[3][4], e[3][5]))))]
+    picks = [Choose(e[0][1]), Choose(e[1][2]), Choose(e[2][3]), Choose(e[0][3])]
+    games = [
+        (mbg(4, 1, Rules.FREE, 1), Reason.ODD_CYCLE_CLOSED),
+        (mbg(4, 1, Rules.FREE, 0), Reason.BOARD_EXHAUSTED),
+        (mbg(4, 1, Rules.CONNECTED, 1), Reason.ODD_CYCLE_CLOSED),
+        (mbg(5, 6, Rules.CONNECTED, 22), Reason.NO_LEGAL_BUILDER_MOVE),
+        (mbg(5, 1, Rules.FREE, 3, maker_quit=2), Reason.BUILDER_FORFEIT),
+        (mbg(6, 3, Rules.CONNECTED, 3, breaker_quit=5), Reason.BLOCKER_FORFEIT),
+        (cwg(4, 1, Rules.FREE, 0), Reason.ODD_CYCLE_CLOSED),
+        (cwg(4, 1, Rules.FREE, 1), Reason.BOARD_EXHAUSTED),
+        (cwg(4, 1, Rules.CONNECTED, 1), Reason.ODD_CYCLE_CLOSED),
+        (cwg(4, 1, Rules.CONNECTED, 0), Reason.BOARD_EXHAUSTED),
+        (cwg(5, 2, Rules.FREE, 4, client_quit=2), Reason.BUILDER_FORFEIT),
+        (cwg(5, 2, Rules.CONNECTED, 4, waiter_quit=3), Reason.BLOCKER_FORFEIT),
+        ((cw_config(n=6, b=10), _Script(picks), _Script(closed)),
+         Reason.NO_OFFERABLE_EDGES),
+    ]
+    everything = []
+    for (config, builder, blocker), reason in games:
+        log = _CallLog()
+        t = run_game(config, builder, blocker, hooks=(log,))
+        assert t.reason is reason
+        assert log.calls == _contract_calls(t)
+        everything.append(log.calls)
+    digest = hashlib.sha256(json.dumps(everything).encode()).hexdigest()
+    assert digest == "bb8d506f653679bddc5583bd7aab959b3edb94cc360e89761a59638e8eab20bb"
 
 
 def test_cw_win_on_choice_leaves_mates_unclaimed():
@@ -306,7 +438,7 @@ def test_cw_win_on_choice_leaves_mates_unclaimed():
     rng = random.Random(17)
     for seed in range(40):
         cfg = cw_config(n=5, b=2, rules=Rules.FREE, seed=seed)
-        t = run_client_waiter(cfg, RandomWaiter(rng), RandomClient(rng))
+        t = run_game(cfg, RandomClient(rng), RandomWaiter(rng))
         if t.winner is not Role.BUILDER or t.reason is not Reason.ODD_CYCLE_CLOSED:
             continue
         last_offer = [m for m in t.moves if isinstance(m.action, Offer)][-1]

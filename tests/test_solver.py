@@ -21,9 +21,9 @@ from oddcycle.engine import (
     ClaimEdge,
     Forfeit,
     GameHook,
+    Offer,
     replay,
-    run_client_waiter,
-    run_maker_breaker,
+    run_game,
 )
 from oddcycle.errors import CapacityError, RuleViolation, StateError
 from oddcycle.solver import (
@@ -224,22 +224,22 @@ def test_oracle_plays_perfectly_from_favored_side():
         fav = solve_game(cfg).winner
         for _ in range(25):
             if fav is Role.BUILDER:
-                t = run_maker_breaker(cfg, SolverOracle(Role.BUILDER),
-                                      RandomBreaker(rng))
+                t = run_game(cfg, SolverOracle(Role.BUILDER),
+                             RandomBreaker(rng))
             else:
-                t = run_maker_breaker(cfg, RandomMaker(rng),
-                                      SolverOracle(Role.BLOCKER))
+                t = run_game(cfg, RandomMaker(rng),
+                             SolverOracle(Role.BLOCKER))
             assert t.winner is fav
     for n, b in ((4, 1), (5, 2)):
         cfg = cw(n, b, seed=1)
         fav = solve_game(cfg).winner
         for _ in range(25):
             if fav is Role.BUILDER:
-                t = run_client_waiter(cfg, RandomWaiter(rng),
-                                      SolverOracle(Role.BUILDER))
+                t = run_game(cfg, SolverOracle(Role.BUILDER),
+                             RandomWaiter(rng))
             else:
-                t = run_client_waiter(cfg, SolverOracle(Role.BLOCKER),
-                                      RandomClient(rng))
+                t = run_game(cfg, RandomClient(rng),
+                             SolverOracle(Role.BLOCKER))
             assert t.winner is fav
 
 
@@ -247,11 +247,11 @@ def test_oracle_duel_matches_game_value():
     for cfg in (mb(5, 1), mb(5, 2), cw(4, 1), cw(5, 2)):
         fav = solve_game(cfg).winner
         if cfg.variant is Variant.MAKER_BREAKER:
-            t = run_maker_breaker(cfg, SolverOracle(Role.BUILDER),
-                                  SolverOracle(Role.BLOCKER))
+            t = run_game(cfg, SolverOracle(Role.BUILDER),
+                         SolverOracle(Role.BLOCKER))
         else:
-            t = run_client_waiter(cfg, SolverOracle(Role.BLOCKER),
-                                  SolverOracle(Role.BUILDER))
+            t = run_game(cfg, SolverOracle(Role.BUILDER),
+                         SolverOracle(Role.BLOCKER))
         assert t.winner is fav
 
 
@@ -403,8 +403,9 @@ def test_verify_rejects_hidden_strategy_state():
 
 
 def test_verify_holds_the_pinned_strategy_to_the_rules():
-    # as in a played game: a waiter offers or concedes, a client chooses from
-    # the offer, and every claim is legal, with or without hooks attached
+    # as in a played game: each side answers with its own action type, a waiter
+    # offers or concedes, a client chooses from the offer, and every claim is
+    # legal, with or without hooks attached
     class ClaimingWaiter(SolverOracle):
         def make_offer(self, state):
             return ClaimEdge(0), "waiter:claims"
@@ -421,14 +422,43 @@ def test_verify_holds_the_pinned_strategy_to_the_rules():
                 return ClaimEdge(taken), "maker:reclaim"
             return super().claim_edge(state)
 
-    for hooks in ((), (GameHook(),)):
-        with pytest.raises(RuleViolation, match="expected an offer"):
-            verify_strategy(cw(4, 0), lambda: ClaimingWaiter(Role.BLOCKER), Role.BLOCKER,
-                            hooks=hooks)
-        with pytest.raises(RuleViolation, match="outside the offer"):
-            verify_strategy(cw(4, 0), StrayClient, Role.BUILDER, hooks=hooks)
-        with pytest.raises(RuleViolation, match="already claimed"):
-            verify_strategy(mb(5, 1), Reclaimer, Role.BUILDER, hooks=hooks)
+    class ChoosingMaker(MakerOddCycle):
+        def claim_edge(self, state):
+            action, branch = super().claim_edge(state)
+            return Choose(action.edge) if isinstance(action, ClaimEdge) else action, branch
+
+    class ClaimingClient(ClientConnected):
+        def choose_from(self, state, offered):
+            action, branch = super().choose_from(state, offered)
+            return ClaimEdge(action.edge) if isinstance(action, Choose) else action, branch
+
+    class OfferingBreaker(BreakerConnected):
+        def claim_edge(self, state, claims_left):
+            action, branch = super().claim_edge(state, claims_left)
+            return Offer((action.edge,)) if isinstance(action, ClaimEdge) else action, branch
+
+    cases = [
+        (cw(4, 0), lambda: ClaimingWaiter(Role.BLOCKER), Role.BLOCKER, "expected an offer"),
+        (mb(5, 1), ChoosingMaker, Role.BUILDER, "builder returned Choose.*expected a claim"),
+        (cw(5, 1), ClaimingClient, Role.BUILDER, "client returned ClaimEdge.*expected a choice"),
+        (mb(5, 1, Rules.CONNECTED), OfferingBreaker, Role.BLOCKER,
+         "blocker returned Offer.*expected a claim"),
+        (cw(4, 0), StrayClient, Role.BUILDER, "outside the offer"),
+        (mb(5, 1), Reclaimer, Role.BUILDER, "already claimed"),
+    ]
+    for config, factory, side, message in cases:
+        for hooks in ((), (GameHook(),)):
+            with pytest.raises(RuleViolation, match=message):
+                verify_strategy(config, factory, side, hooks=hooks)
+        # a played game stops on the same move
+        rng = random.Random(0)
+        mb_game = config.variant is Variant.MAKER_BREAKER
+        if side is Role.BUILDER:
+            players = factory(), RandomBreaker(rng) if mb_game else RandomWaiter(rng)
+        else:
+            players = RandomMaker(rng) if mb_game else RandomClient(rng), factory()
+        with pytest.raises(RuleViolation, match=message):
+            run_game(config, *players)
 
 
 def test_capacity_guards(monkeypatch):

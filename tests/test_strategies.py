@@ -13,7 +13,7 @@ from oddcycle.board import (
     UNCLAIMED,
     Variant,
 )
-from oddcycle.engine import ClaimEdge, run_client_waiter, run_maker_breaker
+from oddcycle.engine import ClaimEdge, run_game
 from oddcycle.errors import InvariantViolation
 from oddcycle.strategies import (
     BLOCKER_STRATEGIES,
@@ -71,7 +71,7 @@ def test_maker_oc_beats_random_at_scale():
     n, b = 40, 12  # 12 = floor(0.31 * 40)
     for seed in range(10):
         maker = MakerOddCycle()
-        t = run_maker_breaker(mb(n, b, Rules.FREE, seed), maker, RandomBreaker(rng))
+        t = run_game(mb(n, b, Rules.FREE, seed), maker, RandomBreaker(rng))
         assert t.winner is Role.BUILDER
         assert t.reason is Reason.ODD_CYCLE_CLOSED
 
@@ -81,7 +81,7 @@ def test_maker_oc_hub_fans_are_stars():
     rng = random.Random(3)
     maker = MakerOddCycle()
     cfg = mb(24, 7, Rules.FREE, 3)
-    t = run_maker_breaker(cfg, maker, RandomBreaker(rng))
+    t = run_game(cfg, maker, RandomBreaker(rng))
     state = GameState(cfg)
     for m in t.moves:
         if m.role is Role.BUILDER and m.branch in ("maker:grow", "maker:new-hub"):
@@ -121,7 +121,7 @@ def test_maker_loss_hook_certificate_on_losses():
         maker = MakerOddCycle()
         hook = MakerLossHook(maker)
         cfg = mb(8, 6, Rules.FREE, seed)
-        t = run_maker_breaker(cfg, maker, RandomBreaker(rng), hooks=(hook,))
+        t = run_game(cfg, maker, RandomBreaker(rng), hooks=(hook,))
         assert hook.violations == [], hook.violations
         losses += t.winner is Role.BLOCKER
     assert losses > 0  # bias 6 on K8 is far beyond the builder's means
@@ -132,8 +132,8 @@ def test_breaker_connected_beats_random_at_scale():
     n = 30
     b = 15  # just above ceil(n/2) - 1 = 14, comfortably in breaker range
     for seed in range(10):
-        t = run_maker_breaker(mb(n, b, Rules.CONNECTED, seed), RandomMaker(rng),
-                              BreakerConnected())
+        t = run_game(mb(n, b, Rules.CONNECTED, seed), RandomMaker(rng),
+                     BreakerConnected())
         assert t.winner is Role.BLOCKER
 
 
@@ -143,7 +143,7 @@ def test_breaker_degree_regularity_vs_baselines():
         for seed in range(40):
             hook = DegreeRegularityHook(assert_mode=True)
             cfg = mb(16, 7, Rules.CONNECTED, seed)
-            run_maker_breaker(cfg, opponent(), BreakerConnected(), hooks=(hook,))
+            run_game(cfg, opponent(), BreakerConnected(), hooks=(hook,))
 
 
 def test_breaker_loss_hook_on_won_games_is_silent():
@@ -151,8 +151,8 @@ def test_breaker_loss_hook_on_won_games_is_silent():
     for seed in range(20):
         hook = BreakerLossHook(saved_bound=0)
         cfg = mb(12, 8, Rules.CONNECTED, seed)
-        t = run_maker_breaker(cfg, RandomMaker(rng), BreakerConnected(),
-                              hooks=(hook,))
+        t = run_game(cfg, RandomMaker(rng), BreakerConnected(),
+                     hooks=(hook,))
         if t.winner is Role.BLOCKER:
             assert hook.violations == []
 
@@ -167,8 +167,8 @@ def test_client_connected_wins_generous_offers():
 
     for n, b in ((8, 2), (9, 3)):
         tree = ClientTreeHook(assert_mode=True)
-        t = run_client_waiter(cw(n, b), FullOffer(), ClientConnected(),
-                              hooks=(tree,))
+        t = run_game(cw(n, b), ClientConnected(), FullOffer(),
+                     hooks=(tree,))
         assert t.winner in (Role.BUILDER, Role.BLOCKER)
 
 
@@ -248,25 +248,25 @@ def test_random_strategies_respect_rules():
     rng = random.Random(30)
     for seed in range(25):
         cfg = mb(8, 3, Rules.CONNECTED, seed)
-        t = run_maker_breaker(cfg, RandomMaker(rng), RandomBreaker(rng))
+        t = run_game(cfg, RandomMaker(rng), RandomBreaker(rng))
         # engine would raise on an illegal move, so finishing is the check
         assert t.winner in (Role.BUILDER, Role.BLOCKER)
         cfg = cw(8, 3, Rules.CONNECTED, seed)
-        t = run_client_waiter(cfg, RandomWaiter(rng), RandomClient(rng))
+        t = run_game(cfg, RandomClient(rng), RandomWaiter(rng))
         assert t.winner in (Role.BUILDER, Role.BLOCKER)
 
 
 def test_greedy_baselines_play_legal_games():
     rng = random.Random(31)
     for seed in range(10):
-        t = run_maker_breaker(mb(9, 2, Rules.FREE, seed), GreedyMaker(),
-                              GreedyBreaker())
+        t = run_game(mb(9, 2, Rules.FREE, seed), GreedyMaker(),
+                     GreedyBreaker())
         assert t.winner in (Role.BUILDER, Role.BLOCKER)
-        t = run_maker_breaker(mb(9, 2, Rules.CONNECTED, seed), GreedyMaker(),
-                              GreedyBreaker())
+        t = run_game(mb(9, 2, Rules.CONNECTED, seed), GreedyMaker(),
+                     GreedyBreaker())
         assert t.winner in (Role.BUILDER, Role.BLOCKER)
-        t = run_client_waiter(cw(9, 2, Rules.CONNECTED, seed), GreedyWaiter(),
-                              ClientConnected())
+        t = run_game(cw(9, 2, Rules.CONNECTED, seed), ClientConnected(),
+                     GreedyWaiter())
         assert t.winner in (Role.BUILDER, Role.BLOCKER)
 
 
@@ -309,8 +309,8 @@ def test_greedy_breaker_matches_brute_force_in_maker_oc_games():
     for n, biases in ((40, (6, 12, 16, 20)), (100, (31, 46))):
         for b in biases:
             maker = MakerOddCycle()
-            t = run_maker_breaker(mb(n, b, Rules.FREE), maker, Checked(),
-                                  hooks=(MakerLossHook(maker, assert_mode=True),))
+            t = run_game(mb(n, b, Rules.FREE), maker, Checked(),
+                         hooks=(MakerLossHook(maker, assert_mode=True),))
             winners.add(t.winner)
     assert winners == {Role.BUILDER, Role.BLOCKER}
     assert Checked.busy > 3000
@@ -321,13 +321,13 @@ def test_greedy_waiter_full_fans_shut_out_client():
     # pair ever goes unclaimed and the client can never win
     rng = random.Random(32)
     for seed in range(20):
-        t = run_client_waiter(cw(10, 8, Rules.CONNECTED, seed), GreedyWaiter(),
-                              RandomClient(rng))
+        t = run_game(cw(10, 8, Rules.CONNECTED, seed), RandomClient(rng),
+                     GreedyWaiter())
         assert t.winner is Role.BLOCKER
     # at lower bias the fans stop fitting; games stay legal either way
     for seed in range(10):
-        t = run_client_waiter(cw(10, 4, Rules.CONNECTED, seed), GreedyWaiter(),
-                              RandomClient(rng))
+        t = run_game(cw(10, 4, Rules.CONNECTED, seed), RandomClient(rng),
+                     GreedyWaiter())
         assert t.winner in (Role.BUILDER, Role.BLOCKER)
 
 
@@ -348,8 +348,8 @@ def test_degree_hook_flags_unbalanced_blocker():
 
     rng = random.Random(33)
     hook = DegreeRegularityHook()
-    run_maker_breaker(mb(10, 4, Rules.CONNECTED, 1), RandomMaker(rng), PileOn(),
-                      hooks=(hook,))
+    run_game(mb(10, 4, Rules.CONNECTED, 1), RandomMaker(rng), PileOn(),
+             hooks=(hook,))
     assert hook.violations
 
 
