@@ -483,7 +483,7 @@ def cmd_verify(args) -> int:
     def factory():
         return _build_strategy(args.strategy, config, side, **kwargs)
 
-    result = verify_strategy(config, factory, side, node_cap=args.node_cap)
+    result = verify_strategy(config, factory, side)
     label = (f"{args.strategy} as {side.value} on n={config.n} b={config.b} "
              f"{config.variant.value} {config.rules.value}")
     if result.verified:
@@ -655,7 +655,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rules", choices=[r.value for r in Rules],
                    default=Rules.FREE.value)
     p.add_argument("--lookahead", help="client-connected lookahead mode")
-    p.add_argument("--node-cap", dest="node_cap", type=int)
     p.add_argument("--out", help="write a refuting transcript here")
     p.add_argument("--capacity")
     p.set_defaults(func=cmd_verify)

@@ -301,12 +301,11 @@ def round_start_result(state: GameState):
     Maker move or no offerable edge."""
     if state.unclaimed_count == 0:
         return Status.BLOCKER_WIN, Reason.BOARD_EXHAUSTED
+    if state.has_legal_builder_move():
+        return None
     if state.config.variant is Variant.MAKER_BREAKER:
-        if not state.has_legal_builder_move():
-            return Status.BLOCKER_WIN, Reason.NO_LEGAL_BUILDER_MOVE
-    elif not offerable_edges(state):
-        return Status.BUILDER_WIN, Reason.NO_OFFERABLE_EDGES
-    return None
+        return Status.BLOCKER_WIN, Reason.NO_LEGAL_BUILDER_MOVE
+    return Status.BUILDER_WIN, Reason.NO_OFFERABLE_EDGES
 
 
 def decide(seat: Seat, ask, state: GameState, arg=None):

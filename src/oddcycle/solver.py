@@ -256,28 +256,28 @@ class MBSolver(_Search):
         if hit is not None:
             return hit
         self._tick()
-        unclaimed = self.t.full & ~(bld | blk)
-        result = None
-        if unclaimed == 0:
-            result = False
-        else:
-            legal = self.t.legal(self.config, bld, unclaimed)
-            if legal == 0:
-                result = False
-            elif self._closers(bld) & legal:
-                result = True
-            elif not self.t.odd_cycle_possible(bld | unclaimed):
-                result = False
-        if result is None:
-            result = False
-            for e in self.t.bits(legal):
-                nb = bld | (1 << e)
-                left = min(self.config.b, bin(unclaimed).count("1") - 1)
-                if self.blocker_turn(nb, blk, left):
-                    result = True
-                    break
-        self.memo[key] = result
+        result = self.memo[key] = self.maker_move(bld, blk)[0]
         return result
+
+    def maker_move(self, bld: int, blk: int) -> tuple[bool, int | None]:
+        """(value, claim) with the builder to move: the lowest closing edge,
+        else the first claim that wins, else the lowest legal edge.  The claim
+        is None when no edge is legal."""
+        unclaimed = self.t.full & ~(bld | blk)
+        legal = self.t.legal(self.config, bld, unclaimed)
+        if legal == 0:
+            return False, None
+        close = self._closers(bld) & legal
+        if close:
+            return True, (close & -close).bit_length() - 1
+        lowest = (legal & -legal).bit_length() - 1
+        if not self.t.odd_cycle_possible(bld | unclaimed):
+            return False, lowest
+        left = min(self.config.b, bin(unclaimed).count("1") - 1)
+        for e in self.t.bits(legal):
+            if self.blocker_turn(bld | (1 << e), blk, left):
+                return True, e
+        return False, lowest
 
     def blocker_turn(self, bld: int, blk: int, claims_left: int) -> bool:
         """Value mid blocker turn; True means the builder wins."""
@@ -326,25 +326,32 @@ class CWSolver(_Search):
         if hit is not None:
             return hit
         self._tick()
-        closing = self._closers(cli)
-        result = True
-        for offer in offers(self.t, self.config, cli, unclaimed):
-            offer_mask = 0
-            for e in offer:
-                offer_mask |= 1 << e
-            good = False
-            for e in offer:
-                if closing >> e & 1:
-                    good = True
-                    break
-                if self.client_wins(cli | (1 << e), wtr | (offer_mask & ~(1 << e))):
-                    good = True
-                    break
-            if not good:
-                result = False
-                break
-        self.memo[key] = result
+        result = self.memo[key] = self.refutation(cli, wtr) is None
         return result
+
+    def refutation(self, cli: int, wtr: int) -> tuple[int, ...] | None:
+        """The first offer the client has no winning choice from, or None."""
+        closing = self._closers(cli)
+        unclaimed = self.t.full & ~(cli | wtr)
+        for offer in offers(self.t, self.config, cli, unclaimed):
+            if self.pick(cli, wtr, offer, closing) is None:
+                return offer
+        return None
+
+    def pick(self, cli: int, wtr: int, offer, closing: int) -> int | None:
+        """The client's choice from offer, edge ids in increasing order: the
+        lowest closing edge, else the first edge after which the client still
+        wins, or None when every choice loses.  closing is _closers(cli)."""
+        for e in offer:
+            if closing >> e & 1:
+                return e
+        offer_mask = 0
+        for e in offer:
+            offer_mask |= 1 << e
+        for e in offer:
+            if self.client_wins(cli | (1 << e), wtr | (offer_mask & ~(1 << e))):
+                return e
+        return None
 
 
 # -- top-level solve and thresholds ---------------------------------------------------
@@ -361,21 +368,21 @@ _SOLVER_CACHE: dict = {}
 
 
 def _solver_for(config: GameConfig):
+    """The cached solver for config, held to the size gate and node cap in
+    force now: the cache may hold boards solved under looser limits."""
+    caps = capacity_limits()
+    _check_size(config, caps)
     key = (config.n, config.b, config.variant, config.rules)
     solver = _SOLVER_CACHE.get(key)
     if solver is None:
-        if config.variant is Variant.MAKER_BREAKER:
-            solver = MBSolver(config)
-        else:
-            solver = CWSolver(config)
-        _SOLVER_CACHE[key] = solver
+        kind = MBSolver if config.variant is Variant.MAKER_BREAKER else CWSolver
+        solver = _SOLVER_CACHE[key] = kind(config)
+    solver.node_cap = caps["solve_node_cap"]
     return solver
 
 
 def solve_game(config: GameConfig) -> SolveResult:
     """Winner of the game from the empty board under optimal play."""
-    # the cache may hold boards solved under a looser limit; gate every call
-    _check_size(config, capacity_limits())
     solver = _solver_for(config)
     before = solver.nodes
     if config.variant is Variant.MAKER_BREAKER:
@@ -409,19 +416,9 @@ def best_claim(state: GameState, role: Role, claims_left: int | None = None):
     """Optimal claim for a Maker-Breaker position, or None to concede."""
     solver = _solver_for(state.config)
     bld, blk = _masks(state)
-    unclaimed = solver.t.full & ~(bld | blk)
     if role is Role.BUILDER:
-        legal = solver.t.legal(state.config, bld, unclaimed)
-        if legal == 0:
-            return None
-        close = solver._closers(bld) & legal
-        if close:
-            return (close & -close).bit_length() - 1
-        for e in solver.t.bits(legal):
-            left = min(state.config.b, bin(unclaimed).count("1") - 1)
-            if solver.blocker_turn(bld | (1 << e), blk, left):
-                return e
-        return (legal & -legal).bit_length() - 1
+        return solver.maker_move(bld, blk)[1]
+    unclaimed = solver.t.full & ~(bld | blk)
     if claims_left is None:
         claims_left = min(state.config.b, bin(unclaimed).count("1"))
     for m in solver.t.bits(unclaimed):
@@ -435,40 +432,21 @@ def best_offer(state: GameState) -> tuple[int, ...]:
     first offer without an instant closing edge."""
     solver = _solver_for(state.config)
     cli, wtr = _masks(state)
-    unclaimed = solver.t.full & ~(cli | wtr)
+    refuting = solver.refutation(cli, wtr)
+    if refuting is not None:
+        return refuting
     closing = solver._closers(cli)
-    options = offers(solver.t, state.config, cli, unclaimed)
-    fallback = None
-    for offer in options:
-        offer_mask = 0
-        for e in offer:
-            offer_mask |= 1 << e
-        if any(closing >> e & 1 for e in offer):
-            continue
-        if fallback is None:
-            fallback = offer
-        if all(not solver.client_wins(cli | (1 << e), wtr | (offer_mask & ~(1 << e)))
-               for e in offer):
-            return tuple(offer)
-    return tuple(fallback if fallback is not None else options[0])
+    options = offers(solver.t, state.config, cli, solver.t.full & ~(cli | wtr))
+    return next((o for o in options if not any(closing >> e & 1 for e in o)), options[0])
 
 
 def best_choice(state: GameState, offered) -> int:
     """Client pick from an offer: close a cycle, else keep a winning line."""
     solver = _solver_for(state.config)
     cli, wtr = _masks(state)
-    closing = solver._closers(cli)
     ordered = sorted(offered)
-    for e in ordered:
-        if closing >> e & 1:
-            return e
-    offer_mask = 0
-    for e in ordered:
-        offer_mask |= 1 << e
-    for e in ordered:
-        if solver.client_wins(cli | (1 << e), wtr | (offer_mask & ~(1 << e))):
-            return e
-    return ordered[0]
+    e = solver.pick(cli, wtr, ordered, solver._closers(cli))
+    return ordered[0] if e is None else e
 
 
 # -- exhaustive strategy verification --------------------------------------------------

@@ -649,7 +649,9 @@ class MakerLossHook(GameHook):
 class ClientCriticalHook(GameHook):
     """Between rounds of the connected client's games: at most one part has a
     fully-blocked untouched vertex, and any such vertex keeps exactly one
-    unclaimed edge toward the builder's graph. The client never concedes.
+    unclaimed edge toward the builder's graph. The client never concedes:
+    a played game shows a concession to on_result, the verifier to
+    after_claim, so each is reported once.
 
     The structural checks apply only while no unclaimed same-part pair
     exists: once the blocker leaves one on the board, the client keeps it as
@@ -658,6 +660,10 @@ class ClientCriticalHook(GameHook):
 
     def after_claim(self, state: GameState, move: Move):
         if move.branch == "client:forfeit":
+            self.violation("client conceded")
+
+    def on_result(self, state: GameState, transcript: Transcript):
+        if transcript.reason is Reason.BUILDER_FORFEIT:
             self.violation("client conceded")
 
     def after_round(self, state: GameState, s: int):

@@ -300,6 +300,10 @@ def test_capacity_flag_and_exit_code(clean_env, capsys):
     code, _, err = run(["solve", "--n", "6", "--b", "2",
                         "--capacity", "mb_max_n=5"], capsys)
     assert code == 2
+    code, _, err = run(["verify", "--strategy", "maker-oc", "--side", "builder",
+                        "--n", "5", "--b", "1", "--capacity", "verify_node_cap=3"], capsys)
+    assert code == 2
+    assert "exceeded 3 nodes" in err
     os.environ.pop(ENV_OVERRIDE, None)
     code, _, _ = run(["solve", "--n", "4", "--b", "1"], capsys)
     assert code == 0

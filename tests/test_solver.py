@@ -31,11 +31,14 @@ from oddcycle.solver import (
     CWSolver,
     DEFAULT_CAPACITY,
     MBSolver,
+    _masks,
+    _solver_for,
     best_choice,
     best_claim,
     best_offer,
     capacity_limits,
     exact_threshold,
+    offers,
     solve_game,
     verify_strategy,
 )
@@ -276,6 +279,110 @@ def test_best_moves_on_states():
     assert sw.eindex[0][2] not in off
 
 
+# reference oracle moves: each search written out over the solver's value
+# functions, as the oracle did before the solver's nodes returned their moves;
+# the Maker-Breaker blocker's search is still written this way in best_claim
+
+
+def ref_builder_claim(state):
+    solver = _solver_for(state.config)
+    bld, blk = _masks(state)
+    unclaimed = solver.t.full & ~(bld | blk)
+    legal = solver.t.legal(state.config, bld, unclaimed)
+    if legal == 0:
+        return None
+    close = solver._closers(bld) & legal
+    if close:
+        return (close & -close).bit_length() - 1
+    for e in solver.t.bits(legal):
+        left = min(state.config.b, bin(unclaimed).count("1") - 1)
+        if solver.blocker_turn(bld | (1 << e), blk, left):
+            return e
+    return (legal & -legal).bit_length() - 1
+
+
+def ref_offer(state):
+    solver = _solver_for(state.config)
+    cli, wtr = _masks(state)
+    unclaimed = solver.t.full & ~(cli | wtr)
+    closing = solver._closers(cli)
+    options = offers(solver.t, state.config, cli, unclaimed)
+    fallback = None
+    for offer in options:
+        offer_mask = 0
+        for e in offer:
+            offer_mask |= 1 << e
+        if any(closing >> e & 1 for e in offer):
+            continue
+        if fallback is None:
+            fallback = offer
+        if all(not solver.client_wins(cli | (1 << e), wtr | (offer_mask & ~(1 << e)))
+               for e in offer):
+            return tuple(offer)
+    return tuple(fallback if fallback is not None else options[0])
+
+
+def ref_choice(state, offered):
+    solver = _solver_for(state.config)
+    cli, wtr = _masks(state)
+    closing = solver._closers(cli)
+    ordered = sorted(offered)
+    for e in ordered:
+        if closing >> e & 1:
+            return e
+    offer_mask = 0
+    for e in ordered:
+        offer_mask |= 1 << e
+    for e in ordered:
+        if solver.client_wins(cli | (1 << e), wtr | (offer_mask & ~(1 << e))):
+            return e
+    return ordered[0]
+
+
+def test_oracle_moves_match_reference_searches():
+    # random lines on every small board: at each round start and for a few
+    # offers the oracle's move equals the reference search's
+    rng = random.Random(11)
+    checked = collections.Counter()
+    for n in (4, 5):
+        for b, rules in itertools.product((1, 2), (Rules.FREE, Rules.CONNECTED)):
+            cfg = mb(n, b, rules)
+            for _ in range(40):
+                state = GameState(cfg)
+                while state.status is Status.IN_PROGRESS and state.has_legal_builder_move():
+                    want = ref_builder_claim(state)
+                    assert best_claim(state, Role.BUILDER) == want, (cfg, bytes(state.own))
+                    checked["claim"] += 1
+                    moves = sorted(state.legal_builder_moves())
+                    state.apply_claim(Role.BUILDER, rng.choice(moves))
+                    for _ in range(min(b, state.unclaimed_count)):
+                        if state.status is not Status.IN_PROGRESS:
+                            break
+                        free = [e for e in range(state.E) if state.own[e] == 0]
+                        state.apply_claim(Role.BLOCKER, rng.choice(free))
+        for b, rules in itertools.product((0, 1, 2), (Rules.FREE, Rules.CONNECTED)):
+            cfg = cw(n, b, rules)
+            for _ in range(12):
+                state = GameState(cfg)
+                while state.status is Status.IN_PROGRESS and state.has_legal_builder_move():
+                    assert best_offer(state) == ref_offer(state), (cfg, bytes(state.own))
+                    checked["offer"] += 1
+                    solver = _solver_for(cfg)
+                    cli, wtr = _masks(state)
+                    options = offers(solver.t, cfg, cli, solver.t.full & ~(cli | wtr))
+                    for offer in rng.sample(options, min(3, len(options))):
+                        assert best_choice(state, offer) == ref_choice(state, offer)
+                        checked["choice"] += 1
+                    offer = rng.choice(options)
+                    pick = rng.choice(offer)
+                    state.apply_claim(Role.BUILDER, pick)
+                    if state.status is Status.IN_PROGRESS:
+                        for e in offer:
+                            if e != pick:
+                                state.apply_claim(Role.BLOCKER, e)
+    assert min(checked.values()) > 100, checked
+
+
 def check_verification(res, side, verified, nodes):
     """Pin the verdict and node count; a refutation must replay as a loss."""
     assert (res.verified, res.nodes) == (verified, nodes)
@@ -478,7 +585,7 @@ def test_capacity_guards(monkeypatch):
         capacity_limits()
 
 
-def test_node_cap_enforced():
+def test_node_cap_enforced(monkeypatch):
     cfg = mb(5, 2, Rules.FREE)
     with pytest.raises(CapacityError):
         MBSolver(cfg, node_cap=10).builder_wins(0, 0)
@@ -487,6 +594,21 @@ def test_node_cap_enforced():
         CWSolver(cfgw, node_cap=5).client_wins(0, 0)
     with pytest.raises(CapacityError):
         verify_strategy(cfgw, ClientConnected, Role.BUILDER, node_cap=3)
+    # a cached solver is held to the limits in force at each call, not to
+    # those it was built under
+    key = (5, 1, Variant.MAKER_BREAKER, Rules.FREE)
+    _SOLVER_CACHE.pop(key, None)
+    monkeypatch.setenv("ODDCYCLE_CAPACITY_OVERRIDE", "solve_node_cap=10")
+    with pytest.raises(CapacityError, match="exceeded 10 nodes"):
+        solve_game(mb(5, 1))
+    monkeypatch.delenv("ODDCYCLE_CAPACITY_OVERRIDE")
+    assert solve_game(mb(5, 1)).winner is Role.BUILDER
+    monkeypatch.setenv("ODDCYCLE_CAPACITY_OVERRIDE", "mb_max_n=4")
+    with pytest.raises(CapacityError):
+        solve_game(mb(5, 1))
+    with pytest.raises(CapacityError):
+        best_claim(GameState(mb(5, 1)), Role.BUILDER)
+    _SOLVER_CACHE.pop(key, None)
 
 
 def test_solver_memo_reuse_is_consistent():

@@ -13,8 +13,9 @@ from oddcycle.board import (
     UNCLAIMED,
     Variant,
 )
-from oddcycle.engine import ClaimEdge, run_game
+from oddcycle.engine import ClaimEdge, Forfeit, run_game
 from oddcycle.errors import InvariantViolation
+from oddcycle.solver import verify_strategy
 from oddcycle.strategies import (
     BLOCKER_STRATEGIES,
     BUILDER_STRATEGIES,
@@ -242,6 +243,27 @@ def test_client_critical_hook_threat_scope():
         state.apply_claim(Role.BLOCKER, state.eindex[2][v])
     hook.after_round(state, 2)  # both-parts-critical would trip without scope
     assert hook.violations == []
+
+
+def test_client_critical_hook_reports_each_concession_once():
+    # a played game shows a concession to on_result only, the verifier shows
+    # it to after_claim only
+    class ConcedesInRoundTwo(ClientConnected):
+        def choose_from(self, state, offered):
+            if state.builder_edge_count == 1:
+                return Forfeit(), "client:forfeit"
+            return super().choose_from(state, offered)
+
+    cfg = cw(6, 1)
+    hook = ClientCriticalHook()
+    t = run_game(cfg, ConcedesInRoundTwo(), make_strategy("greedy-waiter", cfg),
+                 hooks=(hook,))
+    assert t.reason is Reason.BUILDER_FORFEIT
+    assert hook.violations == ["client conceded"]
+    hook = ClientCriticalHook()
+    res = verify_strategy(cw(4, 0), ConcedesInRoundTwo, Role.BUILDER, hooks=(hook,))
+    assert not res.verified
+    assert hook.violations == ["client conceded"]
 
 
 def test_random_strategies_respect_rules():
