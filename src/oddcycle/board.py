@@ -228,7 +228,6 @@ class GameState:
         self.turn_k = 0
         self.unclaimed_count = self.E
         self.builder_edge_count = 0
-        self.blocker_edge_count = 0
         self.builder_cross_count = 0
         self.builder_cyclic = False
         # blocker degree of each vertex into V1 / V2 / R
@@ -503,7 +502,6 @@ class GameState:
         else:
             self.own[eid] = BLOCKER
             self.unclaimed_count -= 1
-            self.blocker_edge_count += 1
             self.threat_edges.discard(eid)
             self.legal_incident.discard(eid)
             cu, cv = self.col(u), self.col(v)
@@ -546,7 +544,6 @@ class GameState:
         other.turn_k = self.turn_k
         other.unclaimed_count = self.unclaimed_count
         other.builder_edge_count = self.builder_edge_count
-        other.blocker_edge_count = self.blocker_edge_count
         other.builder_cross_count = self.builder_cross_count
         other.builder_cyclic = self.builder_cyclic
         other.deg_blk = [row[:] for row in self.deg_blk]

@@ -116,6 +116,13 @@ class RunConfig:
         return GameConfig(n=self.n, b=self.bias, variant=self.variant,
                           rules=self.rules, seed=seed)
 
+    def game_payload(self, seed: int, builder: str, blocker: str,
+                     keep_transcript: bool) -> dict:
+        """The plain-dict description of one game that _play_one runs."""
+        return {"config": self.game_config(seed).to_json_dict(),
+                "builder": builder, "blocker": blocker, "hooks": list(self.hooks),
+                "assert_mode": self.assert_mode, "keep_transcript": keep_transcript}
+
     def game_seed(self, pairing_index: int, game_index: int) -> int:
         """Deterministic per-game seed: base + pairing block + index."""
         return self.seed + pairing_index * self.games + game_index
@@ -325,17 +332,8 @@ def run_tournament(run: RunConfig, keep_transcripts: bool = False
                    ) -> tuple[list[TournamentReport], list[str], int]:
     """Play every pairing; returns (reports, transcript JSON lines, exit code)."""
     pairings = [(b, k) for b in run.builders for k in run.blockers]
-    payloads = []
-    for pi, (bname, kname) in enumerate(pairings):
-        for gi in range(run.games):
-            payloads.append({
-                "config": run.game_config(run.game_seed(pi, gi)).to_json_dict(),
-                "builder": bname,
-                "blocker": kname,
-                "hooks": list(run.hooks),
-                "assert_mode": run.assert_mode,
-                "keep_transcript": keep_transcripts,
-            })
+    payloads = [run.game_payload(run.game_seed(pi, gi), bname, kname, keep_transcripts)
+                for pi, (bname, kname) in enumerate(pairings) for gi in range(run.games)]
     if run.jobs > 1:
         with ProcessPoolExecutor(max_workers=run.jobs) as pool:
             results = list(pool.map(_play_one, payloads, chunksize=4))
@@ -376,22 +374,13 @@ def cmd_play(args) -> int:
     _apply_capacity(run.capacity)
     if len(run.builders) != 1 or len(run.blockers) != 1:
         raise UsageError("play takes exactly one builder and one blocker")
-    payload = {
-        "config": run.game_config(run.seed).to_json_dict(),
-        "builder": run.builders[0],
-        "blocker": run.blockers[0],
-        "hooks": list(run.hooks),
-        "assert_mode": run.assert_mode,
-        "keep_transcript": True,
-    }
-    result = _play_one(payload)
+    result = _play_one(run.game_payload(run.seed, run.builders[0], run.blockers[0], True))
     if "violation_stop" in result:
         _report_stop(result)
         return 1
     if args.out:
         Path(args.out).write_text(result["transcript"])
-    cfg = run.game_config(run.seed)
-    print(f"{cfg.variant.value} n={cfg.n} b={cfg.b} {cfg.rules.value}: "
+    print(f"{run.variant.value} n={run.n} b={run.bias} {run.rules.value}: "
           f"{result['winner']} wins by {result['reason']} "
           f"after {result['rounds']} rounds")
     for msg in result["messages"]:

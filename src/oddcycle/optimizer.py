@@ -9,7 +9,9 @@ has at least |R|-b-1 edges into the rest of R.
 
 min_edges computes the fewest edges such a graph can have for a given shape,
 minimize_f minimizes edges/(|blocks| + s) over all shapes, and the continuous
-case table reproduces the limiting constants of that optimization.
+case table reproduces the limiting constants of that optimization.  Only one
+shape per hub count and block total can be a minimizer, the one whose upper
+blocks A_1..A_s are single vertices, so minimize_f tries O(n^2) shapes.
 """
 
 from __future__ import annotations
@@ -171,10 +173,6 @@ class MinimizeResult:
 
 def _compositions(total: int, parts: int):
     """Ordered tuples of `parts` positive integers summing to `total`."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
     if parts == 1:
         if total >= 1:
             yield (total,)
@@ -187,26 +185,31 @@ def _compositions(total: int, parts: int):
 def iter_shapes(n: int, b: int):
     """All hub/block shapes that fit in n vertices (denominator positive)."""
     for s in range(n):
-        hubs = s + 1
-        for a_total in range(max(1, s + 1), n - hubs + 1):
-            if a_total + s == 0:
-                continue
-            for sizes in _compositions(a_total, hubs):
+        for a_total in range(s + 1, n - s):
+            for sizes in _compositions(a_total, s + 1):
                 yield Shape(n=n, b=b, a_sizes=sizes)
 
 
 def minimize_f(n: int, b: int) -> MinimizeResult:
-    """Minimize edges/(|blocks|+s) over all shapes, keeping every argmin."""
+    """Minimize edges/(|blocks|+s) over all shapes, keeping every argmin.
+
+    For fixed s and a_total, min_edges_split depends on the block sizes only
+    through the sum of j*a_j over j >= 1.  Every a_j is at least 1, so that
+    sum is least exactly when a_j = 1 for all j >= 1; any other composition
+    has strictly more edges at every r2 and is never an argmin.  So one shape
+    per (s, a_total), tried in iter_shapes' order, gives the same value and
+    the same argmin list as all of them.
+    """
     best: Fraction | None = None
     argmins: list[ShapeOptimum] = []
-    for shape in iter_shapes(n, b):
-        e, ties = min_edges(shape)
-        val = Fraction(e, shape.denom)
-        if best is None or val < best:
-            best = val
-            argmins = [ShapeOptimum(shape, e, ties)]
-        elif val == best:
-            argmins.append(ShapeOptimum(shape, e, ties))
+    for s in range(n):
+        for a_total in range(s + 1, n - s):
+            shape = Shape(n=n, b=b, a_sizes=(a_total - s,) + (1,) * s)
+            opt = ShapeOptimum(shape, *min_edges(shape))
+            if best is None or opt.value < best:
+                best, argmins = opt.value, [opt]
+            elif opt.value == best:
+                argmins.append(opt)
     return MinimizeResult(n=n, b=b, value=best, argmins=argmins)
 
 

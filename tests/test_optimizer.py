@@ -94,6 +94,28 @@ def test_minimize_f_7_1():
     }
 
 
+def _minimize_by_enumeration(n, b):
+    """Oracle: the minimum over every composition iter_shapes yields."""
+    best = None
+    argmins = []
+    for sh in iter_shapes(n, b):
+        e, ties = min_edges(sh)
+        val = Fraction(e, sh.denom)
+        if best is None or val < best:
+            best, argmins = val, []
+        if val == best:
+            argmins.append((sh.a_sizes, e, ties))
+    return best, argmins
+
+
+def test_minimize_f_matches_full_enumeration():
+    boards = [(n, b) for n in range(2, 19) for b in range(1, n)] + [(24, 6)]
+    for n, b in boards:
+        res = minimize_f(n, b)
+        got = [(o.shape.a_sizes, o.edges, o.r2_options) for o in res.argmins]
+        assert (res.value, got) == _minimize_by_enumeration(n, b), (n, b)
+
+
 def test_min_edges_split_worked_example():
     # one hub, a block of two, all four R vertices on the degree option
     sh = Shape(n=7, b=1, a_sizes=(2,))
