@@ -59,6 +59,11 @@ class Reason(str, Enum):
     BLOCKER_FORFEIT = "blocker-forfeit"
 
 
+# Largest board a GameConfig accepts.  The edge tables of K_n (_edge_tables)
+# hold about 65 bytes per vertex pair: some 10 MB at n = 400 and 260 MB here.
+MAX_N = 2000
+
+
 def edge_count(n: int) -> int:
     return n * (n - 1) // 2
 
@@ -132,9 +137,6 @@ class ParityForest:
         rv, pv = self.find(v)
         return ru == rv and pu == pv
 
-    def connected(self, u: int, v: int) -> bool:
-        return self.find(u)[0] == self.find(v)[0]
-
     def union(self, u: int, v: int) -> bool:
         """Join u and v with opposite parity. Returns False if already connected."""
         ru, pu = self.find(u)
@@ -161,7 +163,8 @@ class ParityForest:
 
 @dataclass(frozen=True)
 class GameConfig:
-    """Immutable description of one game."""
+    """Immutable description of one game: 3 <= n <= MAX_N, and b >= 1
+    (Maker-Breaker) or b >= 0 (Client-Waiter)."""
 
     n: int
     b: int
@@ -178,6 +181,8 @@ class GameConfig:
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.n < 3:
             raise ValueError("need n >= 3 for an odd cycle to exist")
+        if self.n > MAX_N:
+            raise ValueError(f"n = {self.n} is above the largest supported board, n = {MAX_N}")
         if self.variant is Variant.MAKER_BREAKER and self.b < 1:
             raise ValueError("Maker-Breaker bias b must be >= 1")
         if self.variant is Variant.CLIENT_WAITER and self.b < 0:
@@ -210,6 +215,14 @@ class GameState:
     may join two components whose labels agree across it; then the smaller
     component (v's on a tie) changes parts and only the flipped vertices'
     rows are walked (_flip_vertices), O(|component| * n) per merge.
+
+    deg_index[i][d] holds exactly the R vertices whose blocker degree into
+    column i is d: every vertex starts in R at degree 0 in bucket 0; a vertex
+    leaves R only through _promote, which first drops it from the bucket of
+    its degree in both columns, and never comes back; and every change to an
+    R vertex's degree into column 0 or 1 (a blocker claim toward V, a
+    promotion or a flip of a neighbour) moves it between buckets with
+    _index_move.
     """
 
     def __init__(self, config: GameConfig):

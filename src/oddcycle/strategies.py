@@ -111,6 +111,15 @@ class BreakerConnected(Strategy):
     degrees of untouched vertices level, favouring the part with fewer blocked
     edges toward the untouched set; near the end sweep whole part-R interfaces
     when they fit into the current turn.
+
+    The strategy keeps no state of its own; it reads the board's counters
+    and relies on these invariants of GameState:
+    - an untouched vertex has no builder edge, so v in R has
+      len(parts[i]) - deg_blk[v][i] unclaimed edges into part i, and w in
+      part i has len(r_set) - deg_blk[w][2] unclaimed edges into R;
+    - deg_index[i][d] holds exactly the R vertices whose blocker degree into
+      part i is d, and deg_min[i] / deg_max[i] are the least and greatest
+      such degree over a non-empty R.
     """
 
     def claim_edge(self, state: GameState, claims_left: int):
@@ -127,9 +136,7 @@ class BreakerConnected(Strategy):
             for i in (i1, i2):
                 cnt = r * len(state.parts[i]) - state.e_blk_vr[i]
                 if 1 <= cnt <= claims_left:
-                    eid = self._lowest_part_r_edge(state, i)
-                    if eid is not None:
-                        return ClaimEdge(eid), "breaker:endgame-sweep"
+                    return ClaimEdge(self._lowest_part_r_edge(state, i)), "breaker:endgame-sweep"
         pick = self._balance_pick(state, i1, i2)
         if pick is not None:
             return ClaimEdge(pick), "breaker:balance-low"
@@ -142,37 +149,50 @@ class BreakerConnected(Strategy):
         return ClaimEdge(eid), "breaker:fallback"
 
     def _lowest_part_r_edge(self, state, i):
-        best = None
-        for v in state.r_set:
-            row = state.eindex[v]
-            for w in state.parts[i]:
-                e = row[w]
-                if state.own[e] == UNCLAIMED and (best is None or e < best):
-                    best = e
-        return best
+        """Lowest unclaimed edge between R and part i; the caller has counted
+        at least one.  Both ends of such an edge still have an open edge of
+        the interface by their counters, so the lowest edge starts at the
+        least vertex x that has one, and ends at x's least open partner."""
+        deg = state.deg_blk
+        part = state.parts[i]
+        r_set = state.r_set
+        size, r = len(part), len(r_set)
+        x = min(min(v for v in r_set if deg[v][i] < size),
+                min(w for w in part if deg[w][2] < r))
+        return self._lowest_open_edge(state, x, part if x in r_set else r_set)
 
     def _balance_pick(self, state, i, j, secondary=True):
-        if not state.r_set or not state.parts[i]:
+        """Edge from the R vertex of least blocker degree into part i to the
+        lowest part-i vertex it still reaches.  Ties go to the widest gap
+        deg_blk[v][j] - deg_blk[v][i] when secondary, then to the lowest v."""
+        part = state.parts[i]
+        if not state.r_set or not part:
             return None
         d = state.deg_min[i]
-        if d >= len(state.parts[i]):
+        if d >= len(part):
             return None  # every untouched vertex is fully blocked toward part i
-        bucket = state.deg_index[i].get(d) or ()
-        best_v = None
-        best_gap = None
-        for v in bucket:
-            if v not in state.r_set:
-                continue
-            gap = state.deg_blk[v][j] - state.deg_blk[v][i] if secondary else 0
-            if best_v is None or gap > best_gap or (gap == best_gap and v < best_v):
-                best_v, best_gap = v, gap
-        if best_v is None:
-            return None
-        row = state.eindex[best_v]
-        for w in sorted(state.parts[i]):
-            if state.own[row[w]] == UNCLAIMED:
+        bucket = state.deg_index[i][d]
+        if secondary:
+            # the bucket shares d, so the widest gap is the largest degree into j
+            index_j = state.deg_index[j]
+            for dj in range(state.deg_max[j], state.deg_min[j] - 1, -1):
+                common = bucket.intersection(index_j.get(dj, ()))
+                if common:
+                    v = min(common)
+                    break
+        else:
+            v = min(bucket)
+        return self._lowest_open_edge(state, v, part)
+
+    @staticmethod
+    def _lowest_open_edge(state, v, others):
+        """Lowest unclaimed edge from v to a vertex of others (edge ids grow
+        with the other endpoint); the caller knows that one exists."""
+        row = state.eindex[v]
+        own = state.own
+        for w in sorted(others):
+            if own[row[w]] == UNCLAIMED:
                 return row[w]
-        return None
 
 
 # -- threat-keeping builder (Client side, connected game) ----------------------

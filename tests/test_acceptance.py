@@ -1,5 +1,6 @@
 """Acceptance gate: one test per release criterion, each printing a verdict line."""
 
+import hashlib
 import itertools
 import json
 import math
@@ -36,6 +37,15 @@ from oddcycle.strategies import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# sha256 over the newline-joined board digests of every game of criteria 5
+# and 6, in order: a change that moves any decision of these games moves it
+CRITERION_5_GAMES_SHA256 = "3ed02cd4f41da1cac24f4ff4f8321b28c33b02bc4588e28c8cc478798014b84f"
+CRITERION_6_GAMES_SHA256 = "ff3fe09984c40283f20ea2ac650107105b34d79e6908c520621ca0002065046c"
+
+
+def games_sha256(digests) -> str:
+    return hashlib.sha256("\n".join(digests).encode()).hexdigest()
 
 
 def report(capsys, criterion: int, ok: bool, detail: str):
@@ -158,6 +168,7 @@ def test_criterion_5_breaker_invariants(capsys):
     assert budget == 1099
     makers = ["random-maker"] * 34 + ["greedy-maker"] * 33 + ["maker-oc"] * 33
     failures = []
+    digests = []
     for i, maker_name in enumerate(makers):
         # the balancing blocker is built for connected builder rules; its
         # guarantees need the builder's graph to stay in one component
@@ -168,14 +179,17 @@ def test_criterion_5_breaker_invariants(capsys):
         hooks = [DegreeRegularityHook(assert_mode=True),
                  BreakerLossHook(int(budget), assert_mode=True)]
         try:
-            run_game(config, maker, breaker, hooks)
+            digests.append(run_game(config, maker, breaker, hooks).digest)
         except InvariantViolation as exc:
             failures.append((maker_name, i, str(exc)))
             break
+    combined = games_sha256(digests)
+    if not failures and combined != CRITERION_5_GAMES_SHA256:
+        failures.append(("transcripts moved", combined))
     elapsed = time.perf_counter() - t0
     report(capsys, 5, not failures and elapsed < 300,
            f"100 assert-mode games at n=200 b=94 vs three makers, "
-           f"zero violations in {elapsed:.1f}s"
+           f"zero violations, pinned transcripts, in {elapsed:.1f}s"
            + (f"; failures {failures}" if failures else ""))
 
 
@@ -184,6 +198,7 @@ def test_criterion_6_maker_structure(capsys):
     n, b = 100, 31
     losses = 0
     failures = []
+    digests = []
     for i in range(1000):
         breaker_name = "random-breaker" if i % 2 == 0 else "greedy-breaker"
         config = GameConfig(n=n, b=b, variant=Variant.MAKER_BREAKER,
@@ -196,12 +211,16 @@ def test_criterion_6_maker_structure(capsys):
         except InvariantViolation as exc:
             failures.append((breaker_name, i, str(exc)))
             break
+        digests.append(t.digest)
         if t.winner is Role.BLOCKER:
             losses += 1
+    combined = games_sha256(digests)
+    if not failures and combined != CRITERION_6_GAMES_SHA256:
+        failures.append(("transcripts moved", combined))
     elapsed = time.perf_counter() - t0
     report(capsys, 6, not failures and elapsed < 300,
            f"1000 games at n=100 b=31; {losses} losses, every one a certified "
-           f"hub/leaf tree, in {elapsed:.1f}s"
+           f"hub/leaf tree, pinned transcripts, in {elapsed:.1f}s"
            + (f"; failures {failures}" if failures else ""))
 
 
@@ -240,7 +259,7 @@ def test_criterion_7_parity_oracle(capsys):
         state = GameState(config)
         acyclic = True
         for u, v in chosen:
-            if state.pf.connected(u, v):
+            if state.pf.find(u)[0] == state.pf.find(v)[0]:
                 acyclic = False
                 break
             state.apply_claim(Role.BUILDER, state.eindex[u][v])

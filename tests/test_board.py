@@ -8,6 +8,7 @@ import pytest
 from oddcycle.board import (
     BLOCKER,
     BUILDER,
+    MAX_N,
     UNCLAIMED,
     GameConfig,
     GameState,
@@ -130,6 +131,10 @@ def test_parity_forest_random_graphs():
             assert pf.same_side(u, v) == (not two_colorable(n, edges + [(u, v)]))
 
 
+def same_root(pf, u, v):
+    return pf.find(u)[0] == pf.find(v)[0]
+
+
 def naive_counters(state):
     """Recompute every derived counter from the raw ownership array."""
     n = state.n
@@ -176,15 +181,19 @@ def assert_counters_match(state):
     assert state.e_blk_vr == e_vr
     assert state.e_blk_vv == e_vv
     assert state.legal_incident == incident
-    # degree buckets over R agree with raw degrees
+    # the degree buckets of each part hold exactly the R vertices, each in
+    # the bucket of its blocker degree into that part
     for i in (0, 1):
         if state.r_set:
             degs = [state.deg_blk[v][i] for v in state.r_set]
             assert state.deg_min[i] == min(degs)
             assert state.deg_max[i] == max(degs)
         for d, bucket in state.deg_index[i].items():
-            for v in bucket & state.r_set:
+            assert bucket <= state.r_set
+            for v in bucket:
                 assert state.deg_blk[v][i] == d
+        for v in state.r_set:
+            assert v in state.deg_index[i][state.deg_blk[v][i]]
 
 
 def play_random_prefix(rng, n, rules, moves):
@@ -253,7 +262,7 @@ def test_part_labels_consistent_with_parity():
         state = play_random_prefix(rng, n, Rules.FREE, rng.randrange(1, edge_count(n)))
         for u in range(n):
             for v in range(u + 1, n):
-                if state.part[u] and state.part[v] and state.pf.connected(u, v):
+                if state.part[u] and state.part[v] and same_root(state.pf, u, v):
                     same_label = state.part[u] == state.part[v]
                     assert same_label == state.pf.same_side(u, v)
 
@@ -310,6 +319,9 @@ def test_claimed_edge_rejected():
 def test_config_validation():
     with pytest.raises(ValueError):
         GameConfig(n=2, b=1)
+    GameConfig(n=MAX_N, b=1)
+    with pytest.raises(ValueError, match="largest supported board"):
+        GameConfig(n=MAX_N + 1, b=1)
     with pytest.raises(ValueError):
         GameConfig(n=5, b=0, variant=Variant.MAKER_BREAKER)
     GameConfig(n=5, b=0, variant=Variant.CLIENT_WAITER)
@@ -357,10 +369,10 @@ def test_merge_flips_match_naive_counters():
                 continue
             u, v = state.pairs[eid]
             merge = (state.part[u] and state.part[u] == state.part[v]
-                     and not state.pf.connected(u, v))
+                     and not same_root(state.pf, u, v))
             if merge:
                 comp_u, comp_v = ({w for w in range(n) if state.part[w]
-                                   and state.pf.connected(w, x)} for x in (u, v))
+                                   and same_root(state.pf, w, x)} for x in (u, v))
                 before = state.part[:]
             state.apply_claim(Role.BUILDER, eid)
             if not merge:

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from oddcycle.board import _edge_tables
 from oddcycle.cli import CSV_HEADER, fixture_text, main, round_bias
 from oddcycle.engine import Transcript
 from oddcycle.solver import ENV_OVERRIDE
@@ -291,6 +292,22 @@ def test_replay_detects_corruption(tmp_path, capsys):
         code, _, err = run(["replay", str(bad)], capsys)
         assert code == 2
         assert "parse error" in err
+
+
+def test_huge_board_exits_2_before_building_edge_tables(tmp_path, capsys):
+    game = tmp_path / "game.json"
+    assert main(["play", "--n", "4", "--b", "1", "--out", str(game)]) == 0
+    d = json.loads(game.read_text())
+    d["config"]["n"] = 200000
+    game.write_text(json.dumps(d))
+    misses = _edge_tables.cache_info().misses
+    for args in (["play", "--n", "200000", "--b", "1"],
+                 ["tournament", "--n", "200000", "--b", "1"],
+                 ["replay", str(game)]):
+        code, _, err = run(args, capsys)
+        assert code == 2
+        assert "largest supported board" in err
+    assert _edge_tables.cache_info().misses == misses
 
 
 def test_capacity_flag_and_exit_code(clean_env, capsys):

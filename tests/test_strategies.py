@@ -158,6 +158,99 @@ def test_breaker_loss_hook_on_won_games_is_silent():
             assert hook.violations == []
 
 
+class ReferenceBreakerConnected(BreakerConnected):
+    """BreakerConnected with the full R x part scans it made before it read
+    the board's counters: the reference its decisions must equal."""
+
+    def _lowest_part_r_edge(self, state, i):
+        best = None
+        for v in state.r_set:
+            row = state.eindex[v]
+            for w in state.parts[i]:
+                e = row[w]
+                if state.own[e] == UNCLAIMED and (best is None or e < best):
+                    best = e
+        return best
+
+    def _balance_pick(self, state, i, j, secondary=True):
+        if not state.r_set or not state.parts[i]:
+            return None
+        d = state.deg_min[i]
+        if d >= len(state.parts[i]):
+            return None
+        bucket = state.deg_index[i].get(d) or ()
+        best_v = None
+        best_gap = None
+        for v in bucket:
+            if v not in state.r_set:
+                continue
+            gap = state.deg_blk[v][j] - state.deg_blk[v][i] if secondary else 0
+            if best_v is None or gap > best_gap or (gap == best_gap and v < best_v):
+                best_v, best_gap = v, gap
+        if best_v is None:
+            return None
+        row = state.eindex[best_v]
+        for w in sorted(state.parts[i]):
+            if state.own[row[w]] == UNCLAIMED:
+                return row[w]
+        return None
+
+
+def test_breaker_connected_matches_full_scan_reference_in_games():
+    # every claim of full connected games, against each maker, at the
+    # criterion-5 bias ratio and a lower one
+    fired = {}
+
+    class Checked(BreakerConnected):
+        def claim_edge(self, state, claims_left):
+            got = super().claim_edge(state, claims_left)
+            assert got == ReferenceBreakerConnected().claim_edge(state, claims_left)
+            fired[got[1]] = fired.get(got[1], 0) + 1
+            return got
+
+    for n, biases in ((40, (12, 19)), (60, (29,))):
+        for b in biases:
+            for maker_name in ("random-maker", "greedy-maker", "maker-oc"):
+                for seed in range(2):
+                    cfg = mb(n, b, Rules.CONNECTED, seed)
+                    run_game(cfg, make_strategy(maker_name, cfg), Checked())
+    for branch in ("breaker:endgame-sweep", "breaker:balance-low", "breaker:balance-high"):
+        assert fired.get(branch, 0) > 50, fired
+
+
+def test_breaker_connected_matches_full_scan_reference_after_merges():
+    # free-rule claim sequences whose builder merges flip whole components,
+    # which moves untouched vertices between degree buckets; the two scans
+    # are compared directly, since an open same-part pair would otherwise
+    # decide most claims
+    rng = random.Random(34)
+    new, ref = BreakerConnected(), ReferenceBreakerConnected()
+    merges = sweeps = picks = 0
+    for trial in range(300):
+        n = rng.randrange(6, 15)
+        state = GameState(mb(n, rng.randrange(1, n), Rules.FREE))
+        while state.status is Status.IN_PROGRESS and state.unclaimed_count:
+            for claims_left in (1, state.config.b):
+                assert new.claim_edge(state, claims_left) == ref.claim_edge(state, claims_left)
+            for i in (0, 1):
+                if len(state.r_set) * len(state.parts[i]) > state.e_blk_vr[i]:
+                    assert new._lowest_part_r_edge(state, i) == ref._lowest_part_r_edge(state, i)
+                    sweeps += 1
+                for secondary in (True, False):
+                    pick = new._balance_pick(state, i, 1 - i, secondary)
+                    assert pick == ref._balance_pick(state, i, 1 - i, secondary)
+                    picks += pick is not None
+            open_edges = [e for e in range(state.E) if state.own[e] == UNCLAIMED]
+            e = rng.choice(open_edges)
+            if rng.random() < 0.5 or state.closes_odd_cycle(e):
+                state.apply_claim(Role.BLOCKER, e)
+            else:
+                u, v = state.pairs[e]
+                merges += state.part[u] == state.part[v] != 0
+                state.apply_claim(Role.BUILDER, e)
+    assert merges > 200 and sweeps > 5000 and picks > 10000, (merges, sweeps, picks)
+
+
 def test_client_connected_wins_generous_offers():
     # a waiter who always offers everything lets the client walk to a win
     class FullOffer:
