@@ -60,7 +60,7 @@ class Reason(str, Enum):
 
 
 # Largest board a GameConfig accepts.  The edge tables of K_n (_edge_tables)
-# hold about 65 bytes per vertex pair: some 10 MB at n = 400 and 260 MB here.
+# take about 65 bytes per ordered vertex pair: 10 MB at n = 400, 260 MB here.
 MAX_N = 2000
 
 

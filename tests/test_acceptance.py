@@ -38,8 +38,9 @@ from oddcycle.strategies import (
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
-# sha256 over the newline-joined board digests of every game of criteria 5
-# and 6, in order: a change that moves any decision of these games moves it
+# sha256 over the newline-joined transcript digests (each a hash of the final
+# ownership array) of every game of criteria 5 and 6, in order: a change that
+# moves who ends up holding any edge of these games moves it
 CRITERION_5_GAMES_SHA256 = "3ed02cd4f41da1cac24f4ff4f8321b28c33b02bc4588e28c8cc478798014b84f"
 CRITERION_6_GAMES_SHA256 = "ff3fe09984c40283f20ea2ac650107105b34d79e6908c520621ca0002065046c"
 
