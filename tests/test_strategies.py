@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -478,3 +479,32 @@ def test_snapshot_restore_round_trips():
     maker.restore(snap)
     assert maker.hubs == [0]
     assert maker.blocks == [set()]
+
+
+# sha256 over the canonical JSON of every game of the random and greedy
+# baselines below (each pairing, both rule sets, 20 seeds), in order: pins the
+# moves, branch tags and results those strategies play, and with them the
+# draws the random ones take from their rng
+BASELINE_GAMES_SHA256 = "264fd50b147bbf944aab9445c371cc81de6d8f8653e320927d91dcb8c45a026e"
+BASELINE_PAIRINGS = (
+    (Variant.MAKER_BREAKER, 3, "random-maker", "random-breaker"),
+    (Variant.MAKER_BREAKER, 10, "random-maker", "greedy-breaker"),
+    (Variant.MAKER_BREAKER, 2, "greedy-maker", "random-breaker"),
+    (Variant.MAKER_BREAKER, 2, "greedy-maker", "greedy-breaker"),
+    (Variant.CLIENT_WAITER, 2, "random-client", "random-waiter"),
+    (Variant.CLIENT_WAITER, 2, "random-client", "greedy-waiter"),
+)
+
+
+def test_baseline_transcripts_pinned():
+    h = hashlib.sha256()
+    for variant, b, builder, blocker in BASELINE_PAIRINGS:
+        for rules in (Rules.FREE, Rules.CONNECTED):
+            for seed in range(20):
+                n = (8, 12, 20)[seed % 3]
+                cfg = GameConfig(n=n, b=b, variant=variant, rules=rules, seed=seed)
+                rng = random.Random(seed)
+                t = run_game(cfg, make_strategy(builder, cfg, rng),
+                             make_strategy(blocker, cfg, rng))
+                h.update(t.to_json().encode())
+    assert h.hexdigest() == BASELINE_GAMES_SHA256
