@@ -70,7 +70,10 @@ def edge_count(n: int) -> int:
 
 @lru_cache(maxsize=64)
 def _edge_tables(n: int):
-    """Return (pairs, index) where pairs[eid] = (u, v) and index[u][v] = eid."""
+    """Return (pairs, index) where pairs[eid] = (u, v) and index[u][v] = eid.
+    Raises ValueError above MAX_N, before allocating anything."""
+    if n > MAX_N:
+        raise ValueError(f"n = {n} is above the largest supported board, n = {MAX_N}")
     pairs = []
     index = [[-1] * n for _ in range(n)]
     eid = 0
@@ -130,12 +133,6 @@ class ParityForest:
             self.parity[w] = par
         # par is now the parity of the last vertex on the path, i.e. the input.
         return root, (par if path else 0)
-
-    def same_side(self, u: int, v: int) -> bool:
-        """True when u and v are connected with equal parity."""
-        ru, pu = self.find(u)
-        rv, pv = self.find(v)
-        return ru == rv and pu == pv
 
     def union(self, u: int, v: int) -> bool:
         """Join u and v with opposite parity. Returns False if already connected."""
@@ -281,17 +278,6 @@ class GameState:
         p = self.part[u]
         return p != 0 and p == self.part[v] and self.pf.find(u)[0] == self.pf.find(v)[0]
 
-    def legal_builder_moves(self) -> set[int]:
-        """Edge ids the builder may claim now under the configured rules."""
-        if self.config.rules is Rules.CONNECTED and self.builder_edge_count > 0:
-            return set(self.legal_incident)
-        return {e for e in range(self.E) if self.own[e] == UNCLAIMED}
-
-    def has_legal_builder_move(self) -> bool:
-        if self.config.rules is Rules.CONNECTED and self.builder_edge_count > 0:
-            return bool(self.legal_incident)
-        return self.unclaimed_count > 0
-
     def saved_unclaimed(self) -> int:
         """Unclaimed edges between V1 and V2 (the budget in the saving bound)."""
         return self.saved_not_blocker - self.builder_cross_count
@@ -304,6 +290,40 @@ class GameState:
 
     def digest(self) -> str:
         return hashlib.sha256(bytes(self.own)).hexdigest()
+
+    # -- move rules: the connected rules are stated here and nowhere else; the
+    # solver's mask forms (_EdgeTables.legal, offers) are tested against them
+
+    def must_touch(self) -> bool:
+        """Connected rule (i): once the builder holds an edge, its claims and
+        every offered edge must touch the builder's graph."""
+        return self.config.rules is Rules.CONNECTED and self.builder_edge_count > 0
+
+    def must_share_vertex(self) -> bool:
+        """Connected rule (ii): before that, an offer's edges must share a vertex."""
+        return self.config.rules is Rules.CONNECTED and self.builder_edge_count == 0
+
+    def is_legal_builder_move(self, eid: int) -> bool:
+        """May the builder claim (or be offered) the in-range edge eid now?"""
+        if self.must_touch():
+            return eid in self.legal_incident
+        return self.own[eid] == UNCLAIMED
+
+    def legal_builder_moves(self) -> set[int]:
+        """Edge ids the builder may claim, or be offered, now."""
+        if self.must_touch():
+            return set(self.legal_incident)
+        return {e for e in range(self.E) if self.own[e] == UNCLAIMED}
+
+    def has_legal_builder_move(self) -> bool:
+        if self.must_touch():
+            return bool(self.legal_incident)
+        return self.unclaimed_count > 0
+
+    def unclaimed_at(self, v: int) -> list[int]:
+        """Unclaimed edges at v in id order: a star a first offer may take."""
+        row = self.eindex[v]
+        return [row[u] for u in range(self.n) if u != v and self.own[row[u]] == UNCLAIMED]
 
     # -- degree index maintenance ----------------------------------------
 
@@ -455,10 +475,23 @@ class GameState:
             raise RuleViolation(f"edge id {eid} out of range")
         if self.own[eid] != UNCLAIMED:
             raise RuleViolation(f"edge {eid} is already claimed")
-        if (role is Role.BUILDER and self.config.rules is Rules.CONNECTED
-                and self.builder_edge_count > 0 and eid not in self.legal_incident):
+        if role is Role.BUILDER and not self.is_legal_builder_move(eid):
             raise RuleViolation(
                 f"connected rules: edge {eid} not incident to the builder's graph")
+
+    def check_offer(self, offer: tuple[int, ...]):
+        """Raise RuleViolation unless offer holds 1..b+1 distinct edges the
+        builder may claim, sharing a vertex under rule (ii); StateError when
+        the game is over."""
+        if not (1 <= len(offer) <= self.config.b + 1):
+            raise RuleViolation(f"offer size {len(offer)} outside 1..{self.config.b + 1}")
+        if len(set(offer)) != len(offer):
+            raise RuleViolation("offer contains a repeated edge")
+        for e in offer:
+            self.check_claim(Role.BUILDER, e)
+        if self.must_share_vertex() and not set(self.pairs[offer[0]]).intersection(
+                *(self.pairs[e] for e in offer)):
+            raise RuleViolation("first offer must share a single vertex")
 
     def apply_claim(self, role: Role, eid: int):
         """Claim an edge for a side, after check_claim, updating every derived
@@ -571,7 +604,3 @@ class GameState:
         other.deg_min = self.deg_min[:]
         other.deg_max = self.deg_max[:]
         return other
-
-
-def closes_odd_cycle(state: GameState, eid: int) -> bool:
-    return state.closes_odd_cycle(eid)

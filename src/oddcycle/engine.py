@@ -9,10 +9,9 @@ solver.py walks as well.
 Maker-Breaker: the builder claims one edge per round, then the blocker claims
 min(b, remaining) edges one at a time.  Client-Waiter (monotone): the blocker
 offers between 1 and b+1 unclaimed edges, the builder keeps exactly one and
-the rest go to the blocker.  Under connected rules the builder's graph must
-stay connected; for offers this means every offered edge touches the
-builder's graph, except in round one where the whole offer must share a
-single vertex.
+the rest go to the blocker.  Which claims and offers are legal, the
+connected rules included, is the board's to say: GameState.check_claim and
+GameState.check_offer in board.py.
 """
 
 from __future__ import annotations
@@ -27,7 +26,6 @@ from .board import (
     GameState,
     Reason,
     Role,
-    Rules,
     Status,
     Variant,
 )
@@ -243,22 +241,10 @@ def offerable_edges(state: GameState) -> set[int]:
 
 
 def validate_offer(state: GameState, edges) -> tuple[int, ...]:
-    """Check one waiter offer, returning it as a tuple. Raises RuleViolation."""
+    """Check one waiter offer against GameState.check_offer, returning it as
+    a tuple. Raises RuleViolation."""
     offer = tuple(edges)
-    if not (1 <= len(offer) <= state.config.b + 1):
-        raise RuleViolation(
-            f"offer size {len(offer)} outside 1..{state.config.b + 1}")
-    if len(set(offer)) != len(offer):
-        raise RuleViolation("offer contains a repeated edge")
-    for e in offer:
-        state.check_claim(Role.BUILDER, e)
-    if state.config.rules is Rules.CONNECTED and state.builder_edge_count == 0:
-        # first offer: all edges around one vertex
-        common = set(state.endpoints(offer[0]))
-        for e in offer[1:]:
-            common &= set(state.endpoints(e))
-        if not common:
-            raise RuleViolation("first offer must share a single vertex")
+    state.check_offer(offer)
     return offer
 
 

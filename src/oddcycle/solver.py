@@ -31,6 +31,7 @@ from .board import (
     Rules,
     Status,
     Variant,
+    _edge_tables,
     edge_count,
 )
 from .engine import (
@@ -92,21 +93,19 @@ def _check_size(config: GameConfig, caps: dict, kind: str = ""):
 
 
 class _EdgeTables:
-    """Bitmask geometry of K_n shared by the solvers."""
+    """Bitmask geometry of K_n shared by the solvers, over the board's edge
+    numbering.  legal and offers restate the board's move rules on masks,
+    the search's own layout; a test holds them to GameState."""
 
     def __init__(self, n: int):
         self.n = n
-        self.E = edge_count(n)
+        self.pairs = _edge_tables(n)[0]
+        self.E = len(self.pairs)
         self.full = (1 << self.E) - 1
-        self.pairs = []
         self.at_vertex = [0] * n
-        eid = 0
-        for u in range(n):
-            for v in range(u + 1, n):
-                self.pairs.append((u, v))
-                self.at_vertex[u] |= 1 << eid
-                self.at_vertex[v] |= 1 << eid
-                eid += 1
+        for eid, (u, v) in enumerate(self.pairs):
+            self.at_vertex[u] |= 1 << eid
+            self.at_vertex[v] |= 1 << eid
 
     def parity_find(self, edges: int):
         """Union-find with parity over an edge mask, stopping at the first edge

@@ -11,7 +11,7 @@ import random
 from dataclasses import dataclass
 from operator import itemgetter
 
-from .board import BLOCKER, UNCLAIMED, GameState, Reason, Role, Rules, Status, Variant
+from .board import BLOCKER, UNCLAIMED, GameState, Reason, Role, Status, Variant
 from .engine import Choose, ClaimEdge, Forfeit, GameHook, Move, Offer, Transcript
 from .errors import StateError
 
@@ -310,17 +310,10 @@ class RandomMaker(Strategy):
         self.rng = rng
 
     def claim_edge(self, state: GameState):
-        if state.config.rules is Rules.CONNECTED and state.builder_edge_count > 0:
-            legal = state.legal_incident
-            if not legal:
-                return Forfeit(), "random"
-            eid = _rejection_pick(self.rng, state.E, lambda e: e in legal,
-                                  lambda: sorted(legal))
-        else:
-            eid = _rejection_pick(self.rng, state.E,
-                                  lambda e: state.own[e] == UNCLAIMED,
-                                  lambda: [e for e in range(state.E)
-                                           if state.own[e] == UNCLAIMED])
+        if not state.has_legal_builder_move():
+            return Forfeit(), "random"
+        eid = _rejection_pick(self.rng, state.E, state.is_legal_builder_move,
+                              lambda: sorted(state.legal_builder_moves()))
         return ClaimEdge(eid), "random"
 
 
@@ -342,16 +335,10 @@ class RandomWaiter(Strategy):
 
     def make_offer(self, state: GameState):
         b = state.config.b
-        if state.config.rules is Rules.CONNECTED:
-            if state.builder_edge_count == 0:
-                v = self.rng.randrange(state.n)
-                row = state.eindex[v]
-                pool = sorted(row[u] for u in range(state.n)
-                              if u != v and state.own[row[u]] == UNCLAIMED)
-            else:
-                pool = sorted(state.legal_incident)
+        if state.must_share_vertex():
+            pool = state.unclaimed_at(self.rng.randrange(state.n))
         else:
-            pool = [e for e in range(state.E) if state.own[e] == UNCLAIMED]
+            pool = sorted(state.legal_builder_moves())
         t = self.rng.randint(1, min(b + 1, len(pool)))
         return Offer(tuple(sorted(self.rng.sample(pool, t)))), "random"
 
@@ -458,15 +445,9 @@ class GreedyWaiter(Strategy):
 
     def make_offer(self, state: GameState):
         b = state.config.b
-        n = state.n
         if state.builder_edge_count == 0:
-            row = state.eindex[0]
-            pool = sorted(row[u] for u in range(1, n) if state.own[row[u]] == UNCLAIMED)
-            return Offer(tuple(pool[:min(b + 1, len(pool))])), "greedy:star"
-        if state.config.rules is Rules.CONNECTED:
-            pool = state.legal_incident
-        else:
-            pool = {e for e in range(state.E) if state.own[e] == UNCLAIMED}
+            return Offer(tuple(state.unclaimed_at(0)[:b + 1])), "greedy:star"
+        pool = state.legal_builder_moves()
         touched = state.parts[0] | state.parts[1]
         best = None  # (batch_size, y, batch)
         for y in sorted(state.r_set):

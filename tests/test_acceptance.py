@@ -9,13 +9,14 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from oddcycle.board import (
     GameConfig,
     GameState,
     Role,
     Rules,
     Variant,
-    closes_odd_cycle,
     edge_count,
 )
 from oddcycle.engine import Transcript, replay, run_game
@@ -134,6 +135,7 @@ def test_criterion_3_exact_thresholds(capsys):
            + (f"; failures {bad}" if bad else ""))
 
 
+@pytest.mark.slow
 def test_criterion_4_exhaustive_client_verification(capsys):
     t0 = time.perf_counter()
     bad = []
@@ -272,7 +274,7 @@ def test_criterion_7_parity_oracle(capsys):
             if (u, v) in eset:
                 continue
             probes += 1
-            got = closes_odd_cycle(state, state.eindex[u][v])
+            got = state.closes_odd_cycle(state.eindex[u][v])
             want = not _bipartite(n, chosen + [(u, v)])
             if got != want:
                 mismatches.append((chosen, (u, v)))
@@ -293,7 +295,7 @@ def test_criterion_7_parity_oracle(capsys):
         if not open_edges:
             continue
         probe = rng.choice(open_edges)
-        got = closes_odd_cycle(state, probe)
+        got = state.closes_odd_cycle(probe)
         want = not _bipartite(n, claimed + [state.pairs[probe]])
         if got != want:
             mismatches.append(("random", claimed, state.pairs[probe]))

@@ -45,6 +45,14 @@ def test_edge_index_rejects_bad_input():
         edge_endpoints(edge_count(5), 5)
 
 
+def test_edge_tables_refuse_boards_above_max_n():
+    # raised before any table is built: K_1000000 would need about 65 TB
+    with pytest.raises(ValueError):
+        edge_index(0, 1, 10**6)
+    with pytest.raises(ValueError):
+        edge_endpoints(0, MAX_N + 1)
+
+
 def two_colorable(n, edges):
     """Brute-force check that the graph has a proper 2-coloring."""
     adj = [[] for _ in range(n)]
@@ -106,7 +114,7 @@ def test_parity_forest_against_coloring_oracle_exhaustive():
             for u, v in itertools.combinations(range(n), 2):
                 if (u, v) in forest:
                     continue
-                odd = pf.same_side(u, v)
+                odd = pf.find(u) == pf.find(v)
                 assert odd == (not two_colorable(n, list(forest) + [(u, v)]))
 
 
@@ -120,7 +128,7 @@ def test_parity_forest_random_graphs():
         pairs = list(itertools.combinations(range(n), 2))
         rng.shuffle(pairs)
         for u, v in pairs:
-            if pf.same_side(u, v):
+            if pf.find(u) == pf.find(v):
                 continue
             if rng.random() < 0.4:
                 pf.union(u, v)
@@ -128,7 +136,7 @@ def test_parity_forest_random_graphs():
         for u, v in pairs[:10]:
             if (u, v) in edges:
                 continue
-            assert pf.same_side(u, v) == (not two_colorable(n, edges + [(u, v)]))
+            assert (pf.find(u) == pf.find(v)) == (not two_colorable(n, edges + [(u, v)]))
 
 
 def same_root(pf, u, v):
@@ -264,7 +272,7 @@ def test_part_labels_consistent_with_parity():
             for v in range(u + 1, n):
                 if state.part[u] and state.part[v] and same_root(state.pf, u, v):
                     same_label = state.part[u] == state.part[v]
-                    assert same_label == state.pf.same_side(u, v)
+                    assert same_label == (state.pf.find(u) == state.pf.find(v))
 
 
 def test_odd_cycle_detection_in_play():

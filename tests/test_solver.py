@@ -24,6 +24,7 @@ from oddcycle.engine import (
     Offer,
     replay,
     run_game,
+    validate_offer,
 )
 from oddcycle.errors import CapacityError, RuleViolation, StateError
 from oddcycle.solver import (
@@ -33,6 +34,7 @@ from oddcycle.solver import (
     MBSolver,
     _masks,
     _solver_for,
+    _tables,
     best_choice,
     best_claim,
     best_offer,
@@ -381,6 +383,51 @@ def test_oracle_moves_match_reference_searches():
                             if e != pick:
                                 state.apply_claim(Role.BLOCKER, e)
     assert min(checked.values()) > 100, checked
+
+
+def test_solver_rule_masks_match_the_board():
+    # the solver restates the move rules on edge masks (_EdgeTables.legal and
+    # offers); on random lines of every small game, at each round start the
+    # legal mask equals the board's legal_builder_moves, and offers are
+    # exactly the sets of unclaimed edges that validate_offer accepts
+    rng = random.Random(12)
+    positions = 0
+    for n in (4, 5):
+        t = _tables(n)
+        for variant, b, rules in itertools.product(Variant, (0, 1, 2), Rules):
+            if variant is Variant.MAKER_BREAKER and b == 0:
+                continue
+            cfg = GameConfig(n=n, b=b, variant=variant, rules=rules)
+            for _ in range(30):
+                state = GameState(cfg)
+                while state.status is Status.IN_PROGRESS and state.has_legal_builder_move():
+                    bld, blk = _masks(state)
+                    unclaimed = t.full & ~(bld | blk)
+                    assert set(t.bits(t.legal(cfg, bld, unclaimed))) == \
+                        state.legal_builder_moves(), (cfg, bytes(state.own))
+                    accepted = []
+                    for size in range(1, b + 2):
+                        for comb in itertools.combinations(t.bits(unclaimed), size):
+                            try:
+                                accepted.append(validate_offer(state, comb))
+                            except RuleViolation:
+                                pass
+                    assert set(offers(t, cfg, bld, unclaimed)) == set(accepted), \
+                        (cfg, bytes(state.own))
+                    positions += 1
+                    if variant is Variant.CLIENT_WAITER:
+                        offer = rng.choice(accepted)
+                        pick = rng.choice(offer)
+                        mates = [e for e in offer if e != pick]
+                    else:
+                        pick = rng.choice(sorted(state.legal_builder_moves()))
+                        free = [e for e in range(state.E) if state.own[e] == 0 and e != pick]
+                        mates = rng.sample(free, min(b, len(free)))
+                    state.apply_claim(Role.BUILDER, pick)
+                    for e in mates:
+                        if state.status is Status.IN_PROGRESS:
+                            state.apply_claim(Role.BLOCKER, e)
+    assert positions > 2000, positions
 
 
 def check_verification(res, side, verified, nodes):
