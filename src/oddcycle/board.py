@@ -467,15 +467,15 @@ class GameState:
 
     def check_claim(self, role: Role, eid: int):
         """Raise StateError when the game is over, and RuleViolation for a
-        claimed or out-of-range edge or a builder move that breaks the
-        connectedness rule."""
+        claimed or out-of-range edge or a builder move that breaks connected
+        rule (i)."""
         if self.status is not Status.IN_PROGRESS:
             raise StateError("game is over")
         if not (0 <= eid < self.E):
             raise RuleViolation(f"edge id {eid} out of range")
         if self.own[eid] != UNCLAIMED:
             raise RuleViolation(f"edge {eid} is already claimed")
-        if role is Role.BUILDER and not self.is_legal_builder_move(eid):
+        if role is Role.BUILDER and self.must_touch() and eid not in self.legal_incident:
             raise RuleViolation(
                 f"connected rules: edge {eid} not incident to the builder's graph")
 
