@@ -153,6 +153,8 @@ def test_criterion_4_exhaustive_client_verification(capsys):
         if result.violations:
             bad.append((n, b, result.violations[:2]))
     elapsed = time.perf_counter() - t0
+    if nodes != {4: 38, 5: 8778, 6: 1099725}:
+        bad.append(("node counts", nodes))
     report(capsys, 4, not bad and elapsed < 900,
            f"client strategy wins against all waiters at n=4,5,6 "
            f"(nodes {nodes}) with clean hooks in {elapsed:.1f}s"
