@@ -211,6 +211,30 @@ def test_thresholds_small_boards():
     assert exact_threshold(5, Variant.CLIENT_WAITER, Rules.CONNECTED) == 2
 
 
+def test_threshold_scan_node_counts_pinned():
+    # each scan starts from an empty solver cache; the node totals were
+    # recorded before the solver walked its move masks lazily, and the move
+    # order (so every count) must not change
+    saved = dict(_SOLVER_CACHE)
+    try:
+        for n, variant, rules, bstar, nodes in (
+                (5, Variant.MAKER_BREAKER, Rules.FREE, 2, 494),
+                (5, Variant.MAKER_BREAKER, Rules.CONNECTED, 2, 342),
+                (6, Variant.MAKER_BREAKER, Rules.FREE, 2, 14_630),
+                (6, Variant.MAKER_BREAKER, Rules.CONNECTED, 2, 7_982),
+                (4, Variant.CLIENT_WAITER, Rules.CONNECTED, 1, 195),
+                (5, Variant.CLIENT_WAITER, Rules.CONNECTED, 2, 21_142),
+                (5, Variant.CLIENT_WAITER, Rules.FREE, 2, 28_805)):
+            _SOLVER_CACHE.clear()
+            assert exact_threshold(n, variant, rules) == bstar, (n, variant, rules)
+            solvers = list(_SOLVER_CACHE.values())
+            assert sum(s.nodes for s in solvers) == nodes, (n, variant, rules)
+            assert sum(len(s.memo) for s in solvers) == nodes, (n, variant, rules)
+    finally:
+        _SOLVER_CACHE.clear()
+        _SOLVER_CACHE.update(saved)
+
+
 def test_threshold_monotone_in_bias():
     # above the threshold the blocker keeps winning
     for rules in (Rules.FREE, Rules.CONNECTED):
