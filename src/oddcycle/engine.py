@@ -160,9 +160,16 @@ class GameHook:
     on_result(state, transcript) runs once at the end.  The verifier also
     shows a forfeit of the strategy it checks to after_claim.
 
+    reads_board says whether after_claim reads its state argument.  A played
+    game always passes its own board; the verifier builds a fresh board after
+    the checked strategy's claim only for hooks that read it, and passes the
+    others None.
+
     In observe mode violations are collected in .violations; in assert mode
     the first violation raises InvariantViolation.
     """
+
+    reads_board = True
 
     def __init__(self, assert_mode: bool = False):
         self.assert_mode = assert_mode

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import itertools
 import os
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -106,6 +107,8 @@ class _EdgeTables:
         for eid, (u, v) in enumerate(self.pairs):
             self.at_vertex[u] |= 1 << eid
             self.at_vertex[v] |= 1 << eid
+        # the edges sharing a vertex with each edge, itself included
+        self.near = [self.at_vertex[u] | self.at_vertex[v] for u, v in self.pairs]
 
     def parity_find(self, edges: int):
         """Union-find with parity over an edge mask, stopping at the first edge
@@ -143,10 +146,13 @@ class _EdgeTables:
         holds no odd cycle in any position still in play."""
         find, _ = self.parity_find(bld)
         out = 0
-        for e in self.bits(self.full & ~bld):
-            u, v = self.pairs[e]
+        m = self.full & ~bld
+        while m:
+            low = m & -m
+            m ^= low
+            u, v = self.pairs[low.bit_length() - 1]
             if find(u) == find(v):
-                out |= 1 << e
+                out |= low
         return out
 
     def odd_cycle_possible(self, edges: int) -> bool:
@@ -158,9 +164,11 @@ class _EdgeTables:
         if config.rules is not Rules.CONNECTED or not bld:
             return unclaimed
         near = 0
-        for e in self.bits(bld):
-            u, v = self.pairs[e]
-            near |= self.at_vertex[u] | self.at_vertex[v]
+        m = bld
+        while m:
+            low = m & -m
+            m ^= low
+            near |= self.near[low.bit_length() - 1]
         return unclaimed & near
 
     def bits(self, mask: int) -> list[int]:
@@ -273,9 +281,12 @@ class MBSolver(_Search):
         if not self.t.odd_cycle_possible(bld | unclaimed):
             return False, lowest
         left = min(self.config.b, bin(unclaimed).count("1") - 1)
-        for e in self.t.bits(legal):
-            if self.blocker_turn(bld | (1 << e), blk, left):
-                return True, e
+        m = legal
+        while m:
+            low = m & -m
+            m ^= low
+            if self.blocker_turn(bld | low, blk, left):
+                return True, low.bit_length() - 1
         return False, lowest
 
     def blocker_turn(self, bld: int, blk: int, claims_left: int) -> bool:
@@ -294,10 +305,13 @@ class MBSolver(_Search):
         if bin(live).count("1") > claims_left:
             self.memo[key] = True
             return True
+        # claims in id order, lowest bit first
         moves = live if live else unclaimed
         result = True
-        for m in self.t.bits(moves):
-            if not self.blocker_turn(bld, blk | (1 << m), claims_left - 1):
+        while moves:
+            low = moves & -moves
+            moves ^= low
+            if not self.blocker_turn(bld, blk | low, claims_left - 1):
                 result = False
                 break
         self.memo[key] = result
@@ -363,12 +377,15 @@ class SolveResult:
     nodes: int  # search nodes this call visited; 0 when the cache held the answer
 
 
-_SOLVER_CACHE: dict = {}
+# solvers of the most recently used configs, each with its whole memo
+_SOLVER_CACHE: OrderedDict = OrderedDict()
+SOLVER_CACHE_SIZE = 64
 
 
 def _solver_for(config: GameConfig):
     """The cached solver for config, held to the size gate and node cap in
-    force now: the cache may hold boards solved under looser limits."""
+    force now: the cache may hold boards solved under looser limits.  The
+    least recently used solver is dropped beyond SOLVER_CACHE_SIZE."""
     caps = capacity_limits()
     _check_size(config, caps)
     key = (config.n, config.b, config.variant, config.rules)
@@ -376,6 +393,10 @@ def _solver_for(config: GameConfig):
     if solver is None:
         kind = MBSolver if config.variant is Variant.MAKER_BREAKER else CWSolver
         solver = _SOLVER_CACHE[key] = kind(config)
+        if len(_SOLVER_CACHE) > SOLVER_CACHE_SIZE:
+            _SOLVER_CACHE.popitem(last=False)
+    else:
+        _SOLVER_CACHE.move_to_end(key)
     solver.node_cap = caps["solve_node_cap"]
     return solver
 
@@ -483,6 +504,7 @@ class _Verifier:
         self.ask = getattr(strategy, self.seat.method)
         self.win = Status.BUILDER_WIN if side is Role.BUILDER else Status.BLOCKER_WIN
         self.hooks = hooks
+        self.reads_board = any(h.reads_board for h in hooks)
         self.node_cap = node_cap
         self.nodes = 0
         self.memo: dict = {}
@@ -491,8 +513,9 @@ class _Verifier:
         self.path: list[tuple] = []
         self.failure: list[Move] | None = None
         # at the node being expanded, where many offers lead to the same
-        # claim: whether claiming each edge wins, the board after it, and
-        # what the hooks are shown for each decision
+        # claim: whether claiming each edge wins, the board after it (made
+        # only for hooks that read it), and what the hooks are shown for
+        # each decision
         self.wins: dict[int, bool] = {}
         self.after: dict[int, GameState] = {}
         self.shown: dict[tuple, tuple] = {}
@@ -609,18 +632,20 @@ class _Verifier:
         return ok
 
     def claimed(self, state, role, action, branch):
-        """Show the hooks the pinned side's claim and the board after it."""
+        """Show the hooks the pinned side's claim, and the board after it to
+        those that read it."""
         key = (type(action), action.edge, branch)
         seen = self.shown.get(key)
         if seen is None:
-            seen = self.shown[key] = (self.board_after(state, role, action.edge),
-                                      Move(*self.path[-1]))
+            board = self.board_after(state, role, action.edge) if self.reads_board else None
+            seen = self.shown[key] = (board, Move(*self.path[-1]))
+        board, move = seen
         for h in self.hooks:
-            h.after_claim(*seen)
+            h.after_claim(board if h.reads_board else None, move)
 
     def claim(self, state, claims_left, role, offer, e) -> bool:
         """A claim that does not end the game; a chosen edge's offer-mates go
-        to the waiter.  The memo is read before any board is built."""
+        to the waiter.  The memo is read before the one board a miss builds."""
         mates = [m for m in offer if m != e]
         left = state.unclaimed_count - 1 - len(mates)
         if offer or left == 0:
@@ -636,16 +661,15 @@ class _Verifier:
         hit = self.memo.get((bytes(own), claims_left, self.strategy.state_key()))
         if hit is not None:
             return hit
-        child = self.board_after(state, role, e)
-        if mates:
-            child = child.clone()
-            for m in mates:
-                child.apply_claim(Role.BLOCKER, m)
+        child = state.clone()
+        child.apply_claim(role, e)
+        for m in mates:
+            child.apply_claim(Role.BLOCKER, m)
         return self.visit(child, claims_left)
 
     def board_after(self, state, role, e) -> GameState:
         """The board after role claims e at the node being expanded, made
-        once per edge; the walk never changes it."""
+        once per edge for the hooks that read it; they must not change it."""
         board = self.after.get(e)
         if board is None:
             board = self.after[e] = state.clone()

@@ -593,6 +593,8 @@ class BreakerLossHook(GameHook):
     """In a game the blocker loses, it must never have swept or fallen back,
     and the unclaimed cross pairs at the end stay under the saving budget."""
 
+    reads_board = False
+
     def __init__(self, saved_bound: int, assert_mode=False):
         super().__init__(assert_mode)
         self.saved_bound = saved_bound
@@ -658,6 +660,8 @@ class ClientCriticalHook(GameHook):
     exists: once the blocker leaves one on the board, the client keeps it as
     a standing win threat and the balance arguments no longer bind.
     """
+
+    reads_board = False
 
     def after_claim(self, state: GameState, move: Move):
         if move.branch == "client:forfeit":

@@ -31,6 +31,7 @@ from oddcycle.solver import (
     _SOLVER_CACHE,
     CWSolver,
     DEFAULT_CAPACITY,
+    SOLVER_CACHE_SIZE,
     MBSolver,
     _masks,
     _solver_for,
@@ -47,6 +48,7 @@ from oddcycle.solver import (
 from oddcycle.strategies import (
     BreakerConnected,
     ClientConnected,
+    ClientCriticalHook,
     GreedyBreaker,
     MakerOddCycle,
     RandomBreaker,
@@ -547,6 +549,47 @@ def test_verify_hooks_see_every_pinned_claim():
         assert hook.digest.hexdigest()[:16] == digest
 
 
+def test_verify_builds_boards_only_for_hooks_that_read_them(monkeypatch):
+    # a hook that declares it does not read the board gets None after each
+    # claim of the pinned side, so the walk copies the board only for the
+    # children its memo misses; it still sees every Move, in order
+    class Recorder(GameHook):
+        def __init__(self, reads_board):
+            super().__init__()
+            self.reads_board = reads_board
+            self.moves = []
+
+        def after_claim(self, state, move):
+            if self.reads_board:
+                assert state.own[move.action.edge] == BUILDER
+            else:
+                assert state is None
+            self.moves.append((move.s, move.k, move.role, move.action, move.branch))
+
+    clones = collections.Counter()
+    clone = GameState.clone
+
+    def counted_clone(state):
+        clones[0] += 1
+        return clone(state)
+
+    monkeypatch.setattr(GameState, "clone", counted_clone)
+    seen = {}
+    for reads_board in (False, True):
+        clones.clear()
+        hook, recorder = ClientCriticalHook(), Recorder(reads_board)
+        res = verify_strategy(cw(5, 1), ClientConnected, Role.BUILDER, hooks=(hook, recorder))
+        check_verification(res, Role.BUILDER, True, 8778)
+        assert res.violations == []
+        seen[reads_board] = (recorder.moves, clones[0])
+    (blind, blind_clones), (reading, reading_clones) = seen[False], seen[True]
+    assert blind == reading
+    assert len(blind) > res.nodes
+    # one copy per memo miss: every node but the root
+    assert blind_clones == res.nodes - 1
+    assert reading_clones > blind_clones
+
+
 def test_verify_agrees_with_game_value():
     # the exact oracle is verified on the side the game value favors and
     # refuted on the other
@@ -691,3 +734,31 @@ def test_solver_memo_reuse_is_consistent():
     _SOLVER_CACHE.pop((5, 1, Variant.MAKER_BREAKER, Rules.FREE), None)
     assert solve_game(mb(5, 1)).nodes == 38
     assert solve_game(mb(5, 1)).nodes == 0
+
+
+def test_solver_cache_keeps_the_most_recently_used():
+    configs = [GameConfig(n=n, b=b, variant=variant, rules=rules)
+               for variant, start, ns in ((Variant.MAKER_BREAKER, 1, (3, 4, 5)),
+                                          (Variant.CLIENT_WAITER, 0, (3, 4, 5)))
+               for rules in (Rules.FREE, Rules.CONNECTED)
+               for n in ns for b in range(start, edge_count(n) + 1)]
+    assert len(configs) > SOLVER_CACHE_SIZE + 1
+    saved = dict(_SOLVER_CACHE)
+    try:
+        _SOLVER_CACHE.clear()
+        first = [solve_game(c) for c in configs[:SOLVER_CACHE_SIZE]]
+        # a cache hit makes the oldest config the most recently used
+        assert solve_game(configs[0]).nodes == 0
+        for c in configs[SOLVER_CACHE_SIZE:]:
+            solve_game(c)
+            assert len(_SOLVER_CACHE) <= SOLVER_CACHE_SIZE
+        assert len(_SOLVER_CACHE) == SOLVER_CACHE_SIZE
+        kept, evicted = configs[0], configs[1]
+        assert (kept.n, kept.b, kept.variant, kept.rules) in _SOLVER_CACHE
+        assert (evicted.n, evicted.b, evicted.variant, evicted.rules) not in _SOLVER_CACHE
+        again = solve_game(evicted)
+        assert first[1].nodes > 0
+        assert (again.winner, again.nodes) == (first[1].winner, first[1].nodes)
+    finally:
+        _SOLVER_CACHE.clear()
+        _SOLVER_CACHE.update(saved)
