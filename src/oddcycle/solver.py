@@ -513,11 +513,9 @@ class _Verifier:
         self.path: list[tuple] = []
         self.failure: list[Move] | None = None
         # at the node being expanded, where many offers lead to the same
-        # claim: whether claiming each edge wins, the board after it (made
-        # only for hooks that read it), and what the hooks are shown for
-        # each decision
+        # claim: whether claiming each edge wins, and what the hooks are
+        # shown for each decision
         self.wins: dict[int, bool] = {}
-        self.after: dict[int, GameState] = {}
         self.shown: dict[tuple, tuple] = {}
 
     def fail(self) -> bool:
@@ -549,14 +547,14 @@ class _Verifier:
             for h in self.hooks:
                 h.after_round(state, s)
             s += 1
-        outer = self.wins, self.after, self.shown
-        self.wins, self.after, self.shown = {}, {}, {}
+        outer = self.wins, self.shown
+        self.wins, self.shown = {}, {}
         if self.mb:
             role = Role.BLOCKER if claims_left else Role.BUILDER
             result = self.turn(state, claims_left, s, role, ())
         else:
             result = self.offer_round(state, s)
-        self.wins, self.after, self.shown = outer
+        self.wins, self.shown = outer
         self.memo[key] = result
         return result
 
@@ -633,11 +631,14 @@ class _Verifier:
 
     def claimed(self, state, role, action, branch):
         """Show the hooks the pinned side's claim, and the board after it to
-        those that read it."""
+        those that read it; they must not change that board."""
         key = (type(action), action.edge, branch)
         seen = self.shown.get(key)
         if seen is None:
-            board = self.board_after(state, role, action.edge) if self.reads_board else None
+            board = None
+            if self.reads_board:
+                board = state.clone()
+                board.apply_claim(role, action.edge)
             seen = self.shown[key] = (board, Move(*self.path[-1]))
         board, move = seen
         for h in self.hooks:
@@ -666,15 +667,6 @@ class _Verifier:
         for m in mates:
             child.apply_claim(Role.BLOCKER, m)
         return self.visit(child, claims_left)
-
-    def board_after(self, state, role, e) -> GameState:
-        """The board after role claims e at the node being expanded, made
-        once per edge for the hooks that read it; they must not change it."""
-        board = self.after.get(e)
-        if board is None:
-            board = self.after[e] = state.clone()
-            board.apply_claim(role, e)
-        return board
 
 
 def verify_strategy(config: GameConfig, strategy_factory, side: Role,
