@@ -56,6 +56,7 @@ from oddcycle.strategies import (
     RandomMaker,
     RandomWaiter,
     SolverOracle,
+    make_strategy,
 )
 
 
@@ -284,6 +285,23 @@ def test_oracle_duel_matches_game_value():
             t = run_game(cfg, SolverOracle(Role.BUILDER),
                          SolverOracle(Role.BLOCKER))
         assert t.winner is fav
+
+
+def test_oracle_seated_as_breaker_plays_breaker_moves():
+    # built by name with no role, the oracle in the Breaker seat plays the
+    # blocker's best claims: 54 games over n = 4-6, b = 1-3, both rule sets
+    # and three makers
+    class BlockerClaims:
+        def claim_edge(self, state, claims_left):
+            return ClaimEdge(best_claim(state, Role.BLOCKER, claims_left)), "oracle"
+
+    for n, b, rules in itertools.product((4, 5, 6), (1, 2, 3), Rules):
+        cfg = mb(n, b, rules, seed=3)
+        for maker in ("maker-oc", "greedy-maker", "random-maker"):
+            got = run_game(cfg, make_strategy(maker, cfg),
+                           make_strategy("solver-oracle", cfg))
+            want = run_game(cfg, make_strategy(maker, cfg), BlockerClaims())
+            assert got.to_json() == want.to_json(), (n, b, rules, maker)
 
 
 def test_best_moves_on_states():
