@@ -31,8 +31,6 @@ from .optimizer import (
 )
 from .solver import ENV_OVERRIDE, exact_threshold, solve_game, verify_strategy
 from .strategies import (
-    BLOCKER_STRATEGIES,
-    BUILDER_STRATEGIES,
     BreakerLossHook,
     ClientCriticalHook,
     ClientTreeHook,
@@ -168,16 +166,6 @@ def _apply_capacity(spec: str | None):
 # -- strategies and hooks --------------------------------------------------------
 
 
-def _build_strategy(name: str, config: GameConfig, side: Role, **kwargs):
-    names = (BUILDER_STRATEGIES if side is Role.BUILDER else BLOCKER_STRATEGIES)[config.variant]
-    if name not in names:
-        raise UsageError(f"{name!r} is not a {config.variant.value} {side.value} "
-                         f"strategy; choose from {', '.join(names)}")
-    if name == "solver-oracle":
-        return make_strategy(name, config, role=side)
-    return make_strategy(name, config, **kwargs)
-
-
 def _build_hooks(specs, assert_mode: bool, builder) -> list[GameHook]:
     hooks: list[GameHook] = []
     for spec in specs:
@@ -234,8 +222,8 @@ class _StateTracker(GameHook):
 def _play_one(payload: dict) -> dict:
     """Run one game described by a plain dict; shaped for worker pools."""
     config = GameConfig.from_json_dict(payload["config"])
-    builder = _build_strategy(payload["builder"], config, Role.BUILDER)
-    blocker = _build_strategy(payload["blocker"], config, Role.BLOCKER)
+    builder = make_strategy(payload["builder"], config, role=Role.BUILDER)
+    blocker = make_strategy(payload["blocker"], config, role=Role.BLOCKER)
     hooks = _build_hooks(payload["hooks"], payload["assert_mode"], builder)
     tracker = _StateTracker()
     recorder = MetricsRecorder()
@@ -465,12 +453,10 @@ def cmd_verify(args) -> int:
     config = GameConfig(n=args.n, b=args.b, variant=Variant(args.variant),
                         rules=Rules(args.rules))
     side = Role(args.side)
-    kwargs = {}
-    if args.lookahead:
-        kwargs["lookahead"] = args.lookahead
+    options = {"lookahead": args.lookahead} if args.lookahead else {}
 
     def factory():
-        return _build_strategy(args.strategy, config, side, **kwargs)
+        return make_strategy(args.strategy, config, role=side, **options)
 
     result = verify_strategy(config, factory, side)
     label = (f"{args.strategy} as {side.value} on n={config.n} b={config.b} "

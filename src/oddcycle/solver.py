@@ -221,12 +221,12 @@ def offers(t: _EdgeTables, config: GameConfig, cli: int, unclaimed: int):
 class _Search:
     """Memo, node budget and closing-edge cache of one exact solver."""
 
-    def __init__(self, config: GameConfig, node_cap: int | None):
+    def __init__(self, config: GameConfig):
         caps = capacity_limits()
         _check_size(config, caps)
         self.config = config
         self.t = _tables(config.n)
-        self.node_cap = node_cap if node_cap is not None else caps["solve_node_cap"]
+        self.node_cap = caps["solve_node_cap"]
         self.nodes = 0
         self.memo: dict = {}
         self.closers_cache: dict[int, int] = {}
@@ -253,8 +253,8 @@ class MBSolver(_Search):
     """Memoized game value of Maker-Breaker positions on K_n."""
 
     # each solver class keeps an __init__ of its own: perfbench's tracer wraps it per class
-    def __init__(self, config: GameConfig, node_cap: int | None = None):
-        super().__init__(config, node_cap)
+    def __init__(self, config: GameConfig):
+        super().__init__(config)
 
     def builder_wins(self, bld: int, blk: int) -> bool:
         """Value with the builder to move."""
@@ -324,8 +324,8 @@ class MBSolver(_Search):
 class CWSolver(_Search):
     """Memoized game value of monotone Client-Waiter positions on K_n."""
 
-    def __init__(self, config: GameConfig, node_cap: int | None = None):
-        super().__init__(config, node_cap)
+    def __init__(self, config: GameConfig):
+        super().__init__(config)
 
     def client_wins(self, cli: int, wtr: int) -> bool:
         """Value with the waiter about to offer."""
@@ -670,7 +670,7 @@ class _Verifier:
 
 
 def verify_strategy(config: GameConfig, strategy_factory, side: Role,
-                    hooks=(), node_cap: int | None = None) -> VerificationResult:
+                    hooks=()) -> VerificationResult:
     """Check a fixed strategy against every legal line of the other side.
 
     strategy_factory is a zero-argument callable producing a fresh strategy;
@@ -681,12 +681,11 @@ def verify_strategy(config: GameConfig, strategy_factory, side: Role,
     """
     caps = capacity_limits()
     _check_size(config, caps, kind="verify_")
-    cap = node_cap if node_cap is not None else caps["verify_node_cap"]
     strategy = strategy_factory()
     if getattr(strategy, "rng", None) is not None:
         raise ValueError(f"cannot verify {type(strategy).__name__}: "
                          "it draws from a random generator")
-    walk = _Verifier(config, strategy, side, hooks, cap)
+    walk = _Verifier(config, strategy, side, hooks, caps["verify_node_cap"])
     state = GameState(config)
     _start(strategy, state)
     ok = walk.visit(state)

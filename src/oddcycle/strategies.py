@@ -7,6 +7,7 @@ tie-breaks are by lowest vertex or edge id so play is reproducible.
 
 from __future__ import annotations
 
+import inspect
 import random
 from dataclasses import dataclass
 from operator import itemgetter
@@ -305,10 +306,14 @@ def _rejection_pick(rng, universe_size, accept, fallback):
     return rng.choice(fallback())
 
 
-class RandomMaker(Strategy):
+class RandomStrategy(Strategy):
+    """Base of the random baselines: each draws from the generator it is given."""
+
     def __init__(self, rng: random.Random):
         self.rng = rng
 
+
+class RandomMaker(RandomStrategy):
     def claim_edge(self, state: GameState):
         if not state.has_legal_builder_move():
             return Forfeit(), "random"
@@ -317,10 +322,7 @@ class RandomMaker(Strategy):
         return ClaimEdge(eid), "random"
 
 
-class RandomBreaker(Strategy):
-    def __init__(self, rng: random.Random):
-        self.rng = rng
-
+class RandomBreaker(RandomStrategy):
     def claim_edge(self, state: GameState, claims_left: int):
         eid = _rejection_pick(self.rng, state.E,
                               lambda e: state.own[e] == UNCLAIMED,
@@ -329,10 +331,7 @@ class RandomBreaker(Strategy):
         return ClaimEdge(eid), "random"
 
 
-class RandomWaiter(Strategy):
-    def __init__(self, rng: random.Random):
-        self.rng = rng
-
+class RandomWaiter(RandomStrategy):
     def make_offer(self, state: GameState):
         b = state.config.b
         if state.must_share_vertex():
@@ -343,10 +342,7 @@ class RandomWaiter(Strategy):
         return Offer(tuple(sorted(self.rng.sample(pool, t)))), "random"
 
 
-class RandomClient(Strategy):
-    def __init__(self, rng: random.Random):
-        self.rng = rng
-
+class RandomClient(RandomStrategy):
     def choose_from(self, state: GameState, offered):
         return Choose(self.rng.choice(sorted(offered))), "random"
 
@@ -478,15 +474,15 @@ class GreedyWaiter(Strategy):
 
 
 class SolverOracle(Strategy):
-    """Plays perfectly by querying the exact solver at every decision."""
-
-    def __init__(self, role: Role):
-        self.role = role
+    """Plays perfectly by querying the exact solver at every decision.  In
+    Maker-Breaker it reads its seat from the call: the game asks the Breaker
+    with the claims left in its turn, at least 1, and the Maker with none."""
 
     def claim_edge(self, state: GameState, claims_left: int | None = None):
         from .solver import best_claim
 
-        eid = best_claim(state, self.role, claims_left)
+        role = Role.BUILDER if claims_left is None else Role.BLOCKER
+        eid = best_claim(state, role, claims_left)
         if eid is None:
             return Forfeit(), "oracle:resign"
         return ClaimEdge(eid), "oracle"
@@ -505,51 +501,52 @@ class SolverOracle(Strategy):
 
 # -- registry ---------------------------------------------------------------------
 
+_MAKER = (Variant.MAKER_BREAKER, Role.BUILDER)
+_BREAKER = (Variant.MAKER_BREAKER, Role.BLOCKER)
+_CLIENT = (Variant.CLIENT_WAITER, Role.BUILDER)
+_WAITER = (Variant.CLIENT_WAITER, Role.BLOCKER)
+
+# each strategy name: its class and the (variant, role) seats it plays
+STRATEGIES = {
+    "maker-oc": (MakerOddCycle, {_MAKER}),
+    "breaker-connected": (BreakerConnected, {_BREAKER}),
+    "client-connected": (ClientConnected, {_CLIENT}),
+    "random-maker": (RandomMaker, {_MAKER}),
+    "random-breaker": (RandomBreaker, {_BREAKER}),
+    "random-waiter": (RandomWaiter, {_WAITER}),
+    "random-client": (RandomClient, {_CLIENT}),
+    "greedy-maker": (GreedyMaker, {_MAKER}),
+    "greedy-breaker": (GreedyBreaker, {_BREAKER}),
+    "greedy-waiter": (GreedyWaiter, {_WAITER}),
+    "solver-oracle": (SolverOracle, {_MAKER, _BREAKER, _CLIENT, _WAITER}),
+}
+
 
 def make_strategy(name: str, config, rng: random.Random | None = None,
-                  **kwargs) -> Strategy:
+                  role: Role | None = None, **options) -> Strategy:
     """Build a strategy by registry name.
 
+    Given a role, the name must play that seat of config's variant.  options
+    go to the strategy's constructor, and one it does not take is refused.
     Random baselines draw from the given rng (seeded from config.seed when
-    omitted), so a full game is reproducible from its config.
+    omitted), so a full game is reproducible from its config.  Every refusal
+    is a ValueError.
     """
-    if rng is None:
-        rng = random.Random(config.seed)
-    if name == "maker-oc":
-        return MakerOddCycle()
-    if name == "breaker-connected":
-        return BreakerConnected()
-    if name == "client-connected":
-        return ClientConnected(**kwargs)
-    if name == "random-maker":
-        return RandomMaker(rng)
-    if name == "random-breaker":
-        return RandomBreaker(rng)
-    if name == "random-waiter":
-        return RandomWaiter(rng)
-    if name == "random-client":
-        return RandomClient(rng)
-    if name == "greedy-maker":
-        return GreedyMaker()
-    if name == "greedy-breaker":
-        return GreedyBreaker()
-    if name == "greedy-waiter":
-        return GreedyWaiter()
-    if name == "solver-oracle":
-        role = kwargs.get("role", Role.BUILDER)
-        return SolverOracle(role)
-    raise ValueError(f"unknown strategy name: {name!r}")
-
-
-BUILDER_STRATEGIES = {
-    Variant.MAKER_BREAKER: ["maker-oc", "random-maker", "greedy-maker", "solver-oracle"],
-    Variant.CLIENT_WAITER: ["client-connected", "random-client", "solver-oracle"],
-}
-BLOCKER_STRATEGIES = {
-    Variant.MAKER_BREAKER: ["breaker-connected", "random-breaker", "greedy-breaker",
-                            "solver-oracle"],
-    Variant.CLIENT_WAITER: ["random-waiter", "greedy-waiter", "solver-oracle"],
-}
+    if name not in STRATEGIES:
+        raise ValueError(f"unknown strategy name: {name!r}")
+    cls, seats = STRATEGIES[name]
+    seat = (config.variant, role)
+    if role is not None and seat not in seats:
+        names = [k for k, (_, s) in STRATEGIES.items() if seat in s]
+        raise ValueError(f"{name!r} is not a {config.variant.value} {role.value} "
+                         f"strategy; choose from {', '.join(names)}")
+    params = inspect.signature(cls).parameters if options else ()
+    unknown = [k for k in options if k not in params]
+    if unknown:
+        raise ValueError(f"{name!r} takes no option {', '.join(unknown)}")
+    if issubclass(cls, RandomStrategy):
+        return cls(rng if rng is not None else random.Random(config.seed))
+    return cls(**options)
 
 
 # -- invariant hooks ----------------------------------------------------------------

@@ -4,10 +4,11 @@ from fractions import Fraction
 
 import pytest
 
-from oddcycle.board import _edge_tables
+from oddcycle.board import Role, Variant, _edge_tables
 from oddcycle.cli import CSV_HEADER, fixture_text, main, round_bias
 from oddcycle.engine import Transcript
 from oddcycle.solver import ENV_OVERRIDE
+from oddcycle.strategies import STRATEGIES
 
 
 @pytest.fixture
@@ -59,6 +60,26 @@ def test_strategy_from_wrong_variant_or_side_is_usage_error(capsys):
         assert code == 2, argv
         assert f"{name!r} is not a maker-breaker" in err
         assert "Traceback" not in err
+    # every seat a name does not play, in both variants
+    for name, (_, seats) in STRATEGIES.items():
+        for variant in Variant:
+            for role in Role:
+                if (variant, role) in seats:
+                    continue
+                argv = ["verify", "--strategy", name, "--side", role.value,
+                        "--variant", variant.value, "--n", "4", "--b", "1"]
+                code, _, err = run(argv, capsys)
+                assert code == 2, argv
+                assert f"{name!r} is not a {variant.value} {role.value} strategy" in err
+                assert "Traceback" not in err
+
+
+def test_option_the_strategy_does_not_take_is_usage_error(capsys):
+    code, _, err = run(["verify", "--strategy", "maker-oc", "--side", "builder",
+                        "--n", "4", "--b", "1", "--lookahead", "claim-only"], capsys)
+    assert code == 2
+    assert "'maker-oc' takes no option lookahead" in err
+    assert "Traceback" not in err
 
 
 def test_play_needs_some_bias(capsys):

@@ -256,34 +256,25 @@ def test_oracle_plays_perfectly_from_favored_side():
         fav = solve_game(cfg).winner
         for _ in range(25):
             if fav is Role.BUILDER:
-                t = run_game(cfg, SolverOracle(Role.BUILDER),
-                             RandomBreaker(rng))
+                t = run_game(cfg, SolverOracle(), RandomBreaker(rng))
             else:
-                t = run_game(cfg, RandomMaker(rng),
-                             SolverOracle(Role.BLOCKER))
+                t = run_game(cfg, RandomMaker(rng), SolverOracle())
             assert t.winner is fav
     for n, b in ((4, 1), (5, 2)):
         cfg = cw(n, b, seed=1)
         fav = solve_game(cfg).winner
         for _ in range(25):
             if fav is Role.BUILDER:
-                t = run_game(cfg, SolverOracle(Role.BUILDER),
-                             RandomWaiter(rng))
+                t = run_game(cfg, SolverOracle(), RandomWaiter(rng))
             else:
-                t = run_game(cfg, RandomClient(rng),
-                             SolverOracle(Role.BLOCKER))
+                t = run_game(cfg, RandomClient(rng), SolverOracle())
             assert t.winner is fav
 
 
 def test_oracle_duel_matches_game_value():
     for cfg in (mb(5, 1), mb(5, 2), cw(4, 1), cw(5, 2)):
         fav = solve_game(cfg).winner
-        if cfg.variant is Variant.MAKER_BREAKER:
-            t = run_game(cfg, SolverOracle(Role.BUILDER),
-                         SolverOracle(Role.BLOCKER))
-        else:
-            t = run_game(cfg, SolverOracle(Role.BUILDER),
-                         SolverOracle(Role.BLOCKER))
+        t = run_game(cfg, SolverOracle(), SolverOracle())
         assert t.winner is fav
 
 
@@ -615,7 +606,7 @@ def test_verify_agrees_with_game_value():
                       (cw(5, 0), {Role.BUILDER: 331, Role.BLOCKER: 5})):
         winner = solve_game(cfg).winner
         for side, nodes in pins.items():
-            res = verify_strategy(cfg, lambda: SolverOracle(side), side)
+            res = verify_strategy(cfg, SolverOracle, side)
             check_verification(res, side, side is winner, nodes)
 
 
@@ -677,7 +668,7 @@ def test_verify_holds_the_pinned_strategy_to_the_rules():
             return Offer((action.edge,)) if isinstance(action, ClaimEdge) else action, branch
 
     cases = [
-        (cw(4, 0), lambda: ClaimingWaiter(Role.BLOCKER), Role.BLOCKER, "expected an offer"),
+        (cw(4, 0), ClaimingWaiter, Role.BLOCKER, "expected an offer"),
         (mb(5, 1), ChoosingMaker, Role.BUILDER, "builder returned Choose.*expected a claim"),
         (cw(5, 1), ClaimingClient, Role.BUILDER, "client returned ClaimEdge.*expected a choice"),
         (mb(5, 1, Rules.CONNECTED), OfferingBreaker, Role.BLOCKER,
@@ -719,13 +710,16 @@ def test_capacity_guards(monkeypatch):
 
 def test_node_cap_enforced(monkeypatch):
     cfg = mb(5, 2, Rules.FREE)
+    monkeypatch.setenv("ODDCYCLE_CAPACITY_OVERRIDE", "solve_node_cap=10")
     with pytest.raises(CapacityError):
-        MBSolver(cfg, node_cap=10).builder_wins(0, 0)
+        MBSolver(cfg).builder_wins(0, 0)
     cfgw = cw(5, 2)
+    monkeypatch.setenv("ODDCYCLE_CAPACITY_OVERRIDE", "solve_node_cap=5")
     with pytest.raises(CapacityError):
-        CWSolver(cfgw, node_cap=5).client_wins(0, 0)
+        CWSolver(cfgw).client_wins(0, 0)
+    monkeypatch.setenv("ODDCYCLE_CAPACITY_OVERRIDE", "verify_node_cap=3")
     with pytest.raises(CapacityError):
-        verify_strategy(cfgw, ClientConnected, Role.BUILDER, node_cap=3)
+        verify_strategy(cfgw, ClientConnected, Role.BUILDER)
     # a cached solver is held to the limits in force at each call, not to
     # those it was built under
     key = (5, 1, Variant.MAKER_BREAKER, Rules.FREE)

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from pathlib import Path
 
 import pytest
 
@@ -14,12 +15,11 @@ from oddcycle.board import (
     UNCLAIMED,
     Variant,
 )
-from oddcycle.engine import ClaimEdge, Forfeit, run_game
+from oddcycle.engine import SEATS, ClaimEdge, Forfeit, run_game
 from oddcycle.errors import InvariantViolation
 from oddcycle.solver import verify_strategy
 from oddcycle.strategies import (
-    BLOCKER_STRATEGIES,
-    BUILDER_STRATEGIES,
+    STRATEGIES,
     BreakerConnected,
     BreakerLossHook,
     ClientConnected,
@@ -50,20 +50,48 @@ def cw(n, b, rules=Rules.CONNECTED, seed=0):
 
 
 def test_registry_builds_everything():
-    for variant, names in BUILDER_STRATEGIES.items():
-        cfg = mb(6, 2) if variant is Variant.MAKER_BREAKER else cw(6, 2)
-        for name in names:
-            if name == "solver-oracle":
-                continue  # exercised in the solver tests
-            s = make_strategy(name, cfg)
-            assert hasattr(s, "claim_edge") or hasattr(s, "choose_from")
-    for variant, names in BLOCKER_STRATEGIES.items():
-        cfg = mb(6, 2) if variant is Variant.MAKER_BREAKER else cw(6, 2)
-        for name in names:
-            if name == "solver-oracle":
-                continue
-            s = make_strategy(name, cfg)
-            assert hasattr(s, "claim_edge") or hasattr(s, "make_offer")
+    # every name in every seat: built with the seat's method, or refused
+    for name, (cls, seats) in STRATEGIES.items():
+        for variant in Variant:
+            cfg = mb(6, 2) if variant is Variant.MAKER_BREAKER else cw(6, 2)
+            for role in Role:
+                if (variant, role) in seats:
+                    s = make_strategy(name, cfg, role=role)
+                    assert type(s) is cls
+                    assert hasattr(s, SEATS[variant][role].method), (name, variant, role)
+                else:
+                    with pytest.raises(ValueError, match="is not a"):
+                        make_strategy(name, cfg, role=role)
+        assert type(make_strategy(name, cfg)) is cls
+    # each seat has at least one strategy besides the oracle
+    for variant in Variant:
+        for role in Role:
+            assert sum((variant, role) in seats for _, seats in STRATEGIES.values()) >= 2
+
+
+def test_readme_lists_each_name_with_its_seats():
+    text = (Path(__file__).parent.parent / "README.md").read_text()
+    table = text[text.index("## Strategy names"):].split("\n## ")[0]
+    seat_names = {"Maker": (Variant.MAKER_BREAKER, Role.BUILDER),
+                  "Breaker": (Variant.MAKER_BREAKER, Role.BLOCKER),
+                  "Client": (Variant.CLIENT_WAITER, Role.BUILDER),
+                  "Waiter": (Variant.CLIENT_WAITER, Role.BLOCKER)}
+    listed = {}
+    for line in table.splitlines():
+        if line.startswith("| `"):
+            name, seats = (cell.strip() for cell in line.split("|")[1:3])
+            listed[name.strip("`")] = {seat_names[s] for s in seats.split(", ")}
+    assert listed == {name: seats for name, (_, seats) in STRATEGIES.items()}
+
+
+def test_registry_refuses_options_a_strategy_does_not_take():
+    cfg = cw(5, 1)
+    assert make_strategy("client-connected", cfg, lookahead="claim-only").lookahead == "claim-only"
+    for name in ("maker-oc", "random-client", "solver-oracle"):
+        with pytest.raises(ValueError, match="takes no option lookahead"):
+            make_strategy(name, cfg, lookahead="claim-only")
+    with pytest.raises(ValueError, match="unknown strategy name"):
+        make_strategy("greedy-client", cfg)
 
 
 def test_maker_oc_beats_random_at_scale():
