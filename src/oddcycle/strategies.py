@@ -540,8 +540,7 @@ def make_strategy(name: str, config, rng: random.Random | None = None,
         names = [k for k, (_, s) in STRATEGIES.items() if seat in s]
         raise ValueError(f"{name!r} is not a {config.variant.value} {role.value} "
                          f"strategy; choose from {', '.join(names)}")
-    params = inspect.signature(cls).parameters if options else ()
-    unknown = [k for k in options if k not in params]
+    unknown = [k for k in options if k not in inspect.signature(cls).parameters]
     if unknown:
         raise ValueError(f"{name!r} takes no option {', '.join(unknown)}")
     if issubclass(cls, RandomStrategy):
