@@ -238,6 +238,24 @@ def test_threshold_scan_node_counts_pinned():
         _SOLVER_CACHE.update(saved)
 
 
+def test_mb_threshold_scans_at_n7_pinned(monkeypatch):
+    # the n=7 Maker-Breaker scans behind the paper's threshold check: b*=3
+    # under both rules, with the node totals recorded before the solver's
+    # parity test moved to vertex bitmasks
+    monkeypatch.setenv("ODDCYCLE_CAPACITY_OVERRIDE", "mb_max_n=7")
+    saved = dict(_SOLVER_CACHE)
+    try:
+        for rules, nodes in ((Rules.FREE, 118_295), (Rules.CONNECTED, 154_722)):
+            _SOLVER_CACHE.clear()
+            assert exact_threshold(7, Variant.MAKER_BREAKER, rules) == 3, rules
+            solvers = list(_SOLVER_CACHE.values())
+            assert sum(s.nodes for s in solvers) == nodes, rules
+            assert sum(len(s.memo) for s in solvers) == nodes, rules
+    finally:
+        _SOLVER_CACHE.clear()
+        _SOLVER_CACHE.update(saved)
+
+
 def test_threshold_monotone_in_bias():
     # above the threshold the blocker keeps winning
     for rules in (Rules.FREE, Rules.CONNECTED):
