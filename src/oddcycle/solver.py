@@ -5,9 +5,12 @@ blocker's multi-claim turn is expanded one claim at a time with the number of
 claims left in the memo key, so different orderings of the same claim set
 collapse to one state.  Two sound shortcuts speed up the Maker-Breaker
 search: a position where the builder's edges plus all unclaimed edges are
-2-colorable can never produce an odd cycle, and on the blocker's turn any
-surviving cycle-closing edge must be covered this turn, so claims are
-restricted to those while they exist.
+2-colorable can never produce an odd cycle (that set is every edge the
+blocker does not hold, so the verdict is kept per blocker mask), and on the
+blocker's turn any surviving cycle-closing edge must be covered this turn,
+so claims are restricted to those while they exist.  The cycle-closing
+edges of a builder graph are the edges inside its colour classes, found by
+2-colouring vertex bitmasks.
 
 verify_strategy pins one side to a fixed strategy and expands every legal
 move of the other side with no shortcuts at all, reporting the first losing
@@ -76,9 +79,12 @@ def capacity_limits() -> dict:
             continue
         key, sep, value = part.partition("=")
         key = key.strip()
-        if not sep or key not in caps:
-            raise ValueError(f"bad {ENV_OVERRIDE} entry: {part!r}")
-        caps[key] = int(value.strip())
+        try:
+            if not sep or key not in caps:
+                raise ValueError
+            caps[key] = int(value)
+        except ValueError:
+            raise ValueError(f"bad {ENV_OVERRIDE} entry: {part!r}") from None
     return caps
 
 
@@ -109,55 +115,63 @@ class _EdgeTables:
             self.at_vertex[v] |= 1 << eid
         # the edges sharing a vertex with each edge, itself included
         self.near = [self.at_vertex[u] | self.at_vertex[v] for u, v in self.pairs]
+        # each edge's endpoints and their vertex bits
+        self.ends = [(u, v, 1 << u, 1 << v) for u, v in self.pairs]
+        # the edges with both ends in each vertex mask closer_mask has met
+        self.inside: dict[int, int] = {}
 
-    def parity_find(self, edges: int):
-        """Union-find with parity over an edge mask, stopping at the first edge
-        whose endpoints already have equal parity (an odd cycle).
-
-        Returns (find, odd): find(x) is (root, parity of x) and covers every
-        edge only when odd is False.
-        """
-        parent = list(range(self.n))
-        parity = [0] * self.n
-
-        def find(x):
-            p = 0
-            while parent[x] != x:
-                p ^= parity[x]
-                x = parent[x]
-            return x, p
-
+    def classes(self, edges: int) -> list[int] | None:
+        """Vertex masks of the two colour classes of each component of the
+        edge mask that has an edge, or None when it holds an odd cycle.  Each
+        component is 2-coloured breadth first on frontier masks."""
+        nb = [0] * self.n
+        todo = 0
         m = edges
-        while m:
-            e = (m & -m).bit_length() - 1
-            m &= m - 1
-            u, v = self.pairs[e]
-            ru, pu = find(u)
-            rv, pv = find(v)
-            if ru != rv:
-                parent[rv] = ru
-                parity[rv] = pu ^ pv ^ 1
-            elif pu == pv:
-                return find, True
-        return find, False
-
-    def closer_mask(self, bld: int) -> int:
-        """Edges whose endpoints are joined with equal parity by bld, which
-        holds no odd cycle in any position still in play."""
-        find, _ = self.parity_find(bld)
-        out = 0
-        m = self.full & ~bld
         while m:
             low = m & -m
             m ^= low
-            u, v = self.pairs[low.bit_length() - 1]
-            if find(u) == find(v):
-                out |= low
+            u, v, bu, bv = self.ends[low.bit_length() - 1]
+            nb[u] |= bv
+            nb[v] |= bu
+            todo |= bu | bv
+        out = []
+        while todo:
+            # side holds the frontier, other the class opposite it
+            side = frontier = todo & -todo
+            other = 0
+            while frontier:
+                reach = 0
+                while frontier:
+                    low = frontier & -frontier
+                    frontier ^= low
+                    reach |= nb[low.bit_length() - 1]
+                if reach & side:
+                    return None
+                frontier = reach & ~other
+                side, other = other | frontier, side
+            out += (side, other)
+            todo &= ~(side | other)
+        return out
+
+    def closer_mask(self, bld: int) -> int:
+        """Edges joining two vertices of one colour class of bld, which holds
+        no odd cycle in any position still in play: the edges inside a class,
+        kept per vertex mask."""
+        out = 0
+        for verts in self.classes(bld):
+            inside = self.inside.get(verts)
+            if inside is None:
+                inside = self.full
+                for v in range(self.n):
+                    if not verts >> v & 1:
+                        inside &= ~self.at_vertex[v]
+                self.inside[verts] = inside
+            out |= inside
         return out
 
     def odd_cycle_possible(self, edges: int) -> bool:
         """Can the edge set (as one graph) contain an odd cycle?"""
-        return self.parity_find(edges)[1]
+        return self.classes(edges) is None
 
     def legal(self, config: GameConfig, bld: int, unclaimed: int) -> int:
         """Unclaimed edges the builder may claim, or be offered, under the rules."""
@@ -255,6 +269,8 @@ class MBSolver(_Search):
     # each solver class keeps an __init__ of its own: perfbench's tracer wraps it per class
     def __init__(self, config: GameConfig):
         super().__init__(config)
+        # blk -> no odd cycle fits in the edges the blocker does not hold
+        self.dead: dict[int, bool] = {}
 
     def builder_wins(self, bld: int, blk: int) -> bool:
         """Value with the builder to move."""
@@ -274,11 +290,18 @@ class MBSolver(_Search):
         legal = self.t.legal(self.config, bld, unclaimed)
         if legal == 0:
             return False, None
-        close = self._closers(bld) & legal
+        # both ends of a closer lie in a colour class of bld, so carry bld
+        # edges: an unclaimed closer is legal under both rule sets, and
+        # closers & legal is closers & unclaimed
+        close = self._closers(bld) & unclaimed
         if close:
             return True, (close & -close).bit_length() - 1
         lowest = (legal & -legal).bit_length() - 1
-        if not self.t.odd_cycle_possible(bld | unclaimed):
+        # bld | unclaimed is full & ~blk, so the verdict is kept per blk
+        dead = self.dead.get(blk)
+        if dead is None:
+            dead = self.dead[blk] = not self.t.odd_cycle_possible(self.t.full & ~blk)
+        if dead:
             return False, lowest
         left = min(self.config.b, bin(unclaimed).count("1") - 1)
         m = legal
@@ -301,7 +324,7 @@ class MBSolver(_Search):
         if hit is not None:
             return hit
         self._tick()
-        live = self._closers(bld) & self.t.legal(self.config, bld, unclaimed)
+        live = self._closers(bld) & unclaimed  # legal, as in maker_move
         if bin(live).count("1") > claims_left:
             self.memo[key] = True
             return True

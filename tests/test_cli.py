@@ -347,6 +347,14 @@ def test_capacity_flag_and_exit_code(clean_env, capsys):
     assert code == 0
 
 
+def test_capacity_entry_that_is_not_a_number_is_usage_error(clean_env, capsys):
+    # named like an unknown key, not as int()'s message
+    for spec in ("mb_max_n=abc", "bogus_key=3"):
+        code, _, err = run(["solve", "--n", "5", "--b", "2", "--capacity", spec], capsys)
+        assert code == 2
+        assert err.strip() == f"error: bad {ENV_OVERRIDE} entry: {spec!r}"
+
+
 def test_capacity_flag_is_scoped_to_the_command(clean_env, capsys):
     code, _, _ = run(["solve", "--n", "4", "--b", "1", "--capacity", "mb_max_n=5"], capsys)
     assert code == 0

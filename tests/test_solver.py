@@ -441,8 +441,9 @@ def test_oracle_moves_match_reference_searches():
 def test_solver_rule_masks_match_the_board():
     # the solver restates the move rules on edge masks (_EdgeTables.legal and
     # offers); on random lines of every small game, at each round start the
-    # legal mask equals the board's legal_builder_moves, and offers are
-    # exactly the sets of unclaimed edges that validate_offer accepts
+    # legal mask equals the board's legal_builder_moves, every unclaimed
+    # closer is legal, and offers are exactly the sets of unclaimed edges
+    # that validate_offer accepts
     rng = random.Random(12)
     positions = 0
     for n in (4, 5):
@@ -456,8 +457,12 @@ def test_solver_rule_masks_match_the_board():
                 while state.status is Status.IN_PROGRESS and state.has_legal_builder_move():
                     bld, blk = _masks(state)
                     unclaimed = t.full & ~(bld | blk)
-                    assert set(t.bits(t.legal(cfg, bld, unclaimed))) == \
-                        state.legal_builder_moves(), (cfg, bytes(state.own))
+                    legal = t.legal(cfg, bld, unclaimed)
+                    assert set(t.bits(legal)) == state.legal_builder_moves(), \
+                        (cfg, bytes(state.own))
+                    # the solver takes closers & unclaimed for closers & legal
+                    closers = t.closer_mask(bld)
+                    assert closers & legal == closers & unclaimed, (cfg, bytes(state.own))
                     accepted = []
                     for size in range(1, b + 2):
                         for comb in itertools.combinations(t.bits(unclaimed), size):
@@ -481,6 +486,67 @@ def test_solver_rule_masks_match_the_board():
                         if state.status is Status.IN_PROGRESS:
                             state.apply_claim(Role.BLOCKER, e)
     assert positions > 2000, positions
+
+
+def ref_colouring(pairs, edges):
+    """Breadth-first 2-colouring of the edge mask: vertex -> (least vertex of
+    its component, colour) for each vertex with an edge, or None when the
+    graph has an odd cycle."""
+    adj = collections.defaultdict(list)
+    for e, (u, v) in enumerate(pairs):
+        if edges >> e & 1:
+            adj[u].append(v)
+            adj[v].append(u)
+    colour = {}
+    for root in sorted(adj):
+        if root in colour:
+            continue
+        colour[root] = (root, 0)
+        queue = [root]
+        for x in queue:
+            for y in adj[x]:
+                if y not in colour:
+                    colour[y] = (root, colour[x][1] ^ 1)
+                    queue.append(y)
+                elif colour[y] == colour[x]:
+                    return None
+    return colour
+
+
+def test_colour_classes_match_bfs_colouring():
+    # classes, closer_mask and odd_cycle_possible against a BFS colouring:
+    # every edge mask at n=3 and n=4, then random sparse, dense and
+    # bipartite masks at n=5-8
+    rng = random.Random(15)
+    masks = [(n, m) for n in (3, 4) for m in range(1 << edge_count(n))]
+    for n in (5, 6, 7, 8):
+        E = edge_count(n)
+        for p in (0.15, 0.3, 0.6, 0.9):
+            masks += [(n, sum(1 << e for e in range(E) if rng.random() < p))
+                      for _ in range(150)]
+        pairs = _tables(n).pairs
+        for _ in range(150):
+            side = [rng.randrange(2) for _ in range(n)]
+            masks.append((n, sum(1 << e for e, (u, v) in enumerate(pairs)
+                                 if side[u] != side[v] and rng.random() < 0.7)))
+    odd = collections.Counter()
+    for n, edges in masks:
+        t = _tables(n)
+        colour = ref_colouring(t.pairs, edges)
+        got = t.classes(edges)
+        assert t.odd_cycle_possible(edges) is (colour is None), (n, edges)
+        odd[colour is None] += 1
+        if colour is None:
+            assert got is None, (n, edges)
+            continue
+        want = collections.Counter()
+        for x, c in colour.items():
+            want[c] |= 1 << x
+        assert sorted(got) == sorted(want.values()), (n, edges)
+        closers = sum(1 << e for e, (u, v) in enumerate(t.pairs)
+                      if not edges >> e & 1 and u in colour and colour[u] == colour.get(v))
+        assert t.closer_mask(edges) == closers, (n, edges)
+    assert len(masks) > 2000 + 64 + 8 and min(odd.values()) > 1000, odd
 
 
 def check_verification(res, side, verified, nodes):
