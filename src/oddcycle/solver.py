@@ -136,7 +136,8 @@ class _EdgeTables:
             todo |= bu | bv
         out = []
         while todo:
-            # side holds the frontier, other the class opposite it
+            # side holds the frontier and other the opposite class; a
+            # neighbour of the frontier inside side closes an odd cycle
             side = frontier = todo & -todo
             other = 0
             while frontier:
